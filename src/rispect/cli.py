@@ -22,11 +22,11 @@ from .shifts import SeriesDivergenceError
 from .spaces import NumericalError, SpaceSpec, SpecJSONError, space_from_json, space_to_json
 from .spectra import (
     ProbeConfig,
+    ProbeResult,
     approx_eigenvalue_set,
     classify_lambda,
     probe_lower_bound,
     residual_curve,
-    sufficient_set_general,
 )
 from .witness import build_witness, distortion, standard_probes
 
@@ -63,6 +63,8 @@ class RunConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n_max < 1:
+            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.k_radius < 4 * self.n_max:
             raise ConfigError(
                 f"k_radius={self.k_radius} must be >= 4 * n_max = {4 * self.n_max}"
@@ -74,9 +76,18 @@ class RunConfig:
         for lam in self.lambda_grid:
             if not lam > 0:
                 raise ConfigError(f"lambda_grid entries must be positive, got {lam}")
+        if not self.n_list:
+            raise ConfigError("n_list must be nonempty")
         for n in self.n_list:
             if n < 1:
                 raise ConfigError(f"n_list entries must be >= 1, got {n}")
+            if self.probe_k_radius + 2 * n + 2 > 1000:
+                raise ConfigError(
+                    f"n_list entry {n} needs probe_k_radius + 2*n + 2 <= 1000 "
+                    "to stay in the exact block range"
+                )
+        if self.n_random < 0:
+            raise ConfigError(f"n_random must be >= 0, got {self.n_random}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
 
@@ -107,37 +118,51 @@ def _number_list(obj: dict, name: str, default: tuple) -> tuple:
     return tuple(out)
 
 
+def _int_list(obj: dict, name: str, default: tuple) -> tuple[int, ...]:
+    out = _number_list(obj, name, default)
+    for i, x in enumerate(out):
+        if not isinstance(x, int):
+            raise ConfigError(f"field {name}[{i}] must be an integer, got {x!r}")
+    return out
+
+
 def _parse_witness(obj, default_windows=(8, 32)) -> WitnessConfig:
     if not isinstance(obj, dict):
         raise ConfigError("field witness must be an object")
     if "theta" in obj:
         theta = _opt_number(obj, "theta", 0.0)
     elif "lam" in obj:
-        theta = math.log2(_opt_number(obj, "lam", 1.0))
+        lam = _opt_number(obj, "lam", 1.0)
+        if not lam > 0:
+            raise ConfigError(f"witness lam must be positive, got {lam}")
+        theta = math.log2(lam)
     elif "p" in obj:
         p = obj["p"]
         if p == "inf":
             theta = 0.0
         else:
-            theta = 1.0 / _opt_number(obj, "p", 1.0)
+            p = _opt_number(obj, "p", 1.0)
+            if not p > 0:
+                raise ConfigError(f"witness p must be positive, got {p}")
+            theta = 1.0 / p
     else:
         raise ConfigError("field witness needs one of theta, lam, p")
     if not 0.0 <= theta <= 1.0:
         raise ConfigError(f"witness theta={theta} outside [0, 1]")
-    windows = tuple(int(n) for n in _number_list(obj, "windows", default_windows))
+    windows = _int_list(obj, "windows", default_windows)
     for n in windows:
         if n < 1:
             raise ConfigError(f"witness windows entries must be >= 1, got {n}")
     k = obj.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
         raise ConfigError(f"field witness.k must be an integer, got {k!r}")
-    return WitnessConfig(
-        theta=theta,
-        n_copies=_opt_int(obj, "n_copies", 16),
-        windows=windows,
-        k=k,
-        n_random=_opt_int(obj, "n_random", 100),
-    )
+    n_copies = _opt_int(obj, "n_copies", 16)
+    if n_copies < 1:
+        raise ConfigError(f"witness n_copies must be >= 1, got {n_copies}")
+    n_random = _opt_int(obj, "n_random", 100)
+    if n_random < 0:
+        raise ConfigError(f"witness n_random must be >= 0, got {n_random}")
+    return WitnessConfig(theta=theta, n_copies=n_copies, windows=windows, k=k, n_random=n_random)
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
@@ -176,7 +201,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         k_radius=k_radius,
         n_max=n_max,
         lambda_grid=tuple(float(x) for x in _number_list(raw, "lambda_grid", ())),
-        n_list=tuple(int(n) for n in _number_list(raw, "n_list", (8, 16, 32, 64))),
+        n_list=_int_list(raw, "n_list", (8, 16, 32, 64)),
         probe_k_radius=_opt_int(raw, "probe_k_radius", 128),
         n_random=_opt_int(raw, "n_random", 200),
         seed=seed,
@@ -287,7 +312,10 @@ def _estimate(cfg: RunConfig) -> IndexSet:
 
 
 def cmd_indices(cfg: RunConfig) -> dict:
-    est = _estimate(cfg)
+    return _indices_report(cfg, _estimate(cfg))
+
+
+def _indices_report(cfg: RunConfig, est: IndexSet) -> dict:
     ana = analytic_indices(cfg.space)
     report = {
         "command": "indices",
@@ -311,10 +339,12 @@ def _p_endpoint(p: float):
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
-    est = _estimate(cfg)
+    return _spectrum_report(cfg, _estimate(cfg))
+
+
+def _spectrum_report(cfg: RunConfig, est: IndexSet) -> dict:
     ana = analytic_indices(cfg.space)
     rep = approx_eigenvalue_set(est)
-    suff = sufficient_set_general(est)
     report = {
         "command": "spectrum",
         "config": _config_echo(cfg),
@@ -328,7 +358,7 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
         "split_uncertain": rep.split_uncertain,
         "assuming_fundamental_type": ana is None,
         "sufficient_set": {
-            "eigen_set_theta": [_interval_json_theta(iv) for iv in suff.eigen_set],
+            "eigen_set_theta": [_interval_json_theta(iv) for iv in rep.eigen_set],
             "sufficient_only": True,
         },
         "classification": [
@@ -343,77 +373,45 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
     return report
 
 
-def _probe_rows(cfg: RunConfig) -> list[dict]:
+def _curve_rows(rc: ProbeResult, *extra: float) -> list[tuple]:
+    """Rows (lambda, theta, *extra, n, residual, argmin_k) of a residual curve."""
+    argmin = rc.meta["argmin"]
+    return [(rc.lam, rc.theta, *extra, n, r, argmin[n]["k"]) for n, r in rc.residuals]
+
+
+def _csv_text(header: str, rows: list[tuple]) -> str:
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def cmd_probe(cfg: RunConfig) -> str:
     if not cfg.lambda_grid:
         raise ConfigError("probe needs a nonempty lambda_grid")
     est = _estimate(cfg)
     pc = ProbeConfig(
         k_lo=-cfg.probe_k_radius,
         k_hi=cfg.probe_k_radius,
-        n_values=tuple(cfg.n_list),
+        n_values=cfg.n_list,
         n_random=cfg.n_random,
         seed=cfg.seed,
     )
-    k_search = range(-cfg.probe_k_radius, cfg.probe_k_radius + 1)
     rows = []
     for lam_index, lam in enumerate(sorted(cfg.lambda_grid)):
         pl = probe_lower_bound(cfg.space, lam, pc, ix=est, lam_index=lam_index)
-        rc = residual_curve(cfg.space, lam, cfg.n_list, k_search)
-        resid = dict(rc.residuals)
-        argmin = rc.meta["argmin"]
-        for n in sorted(set(cfg.n_list)):
-            rows.append(
-                {
-                    "lambda": lam,
-                    "theta": pl.theta,
-                    "min_ratio": pl.min_ratio,
-                    "n": n,
-                    "residual": resid[n],
-                    "argmin_k": argmin[n]["k"],
-                }
-            )
-    return rows
-
-
-def cmd_probe(cfg: RunConfig) -> str:
-    lines = [PROBE_CSV_HEADER]
-    for row in _probe_rows(cfg):
-        lines.append(
-            ",".join(
-                [
-                    _fmt_float(row["lambda"]),
-                    _fmt_float(row["theta"]),
-                    _fmt_float(row["min_ratio"]),
-                    str(row["n"]),
-                    _fmt_float(row["residual"]),
-                    str(row["argmin_k"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        rows += _curve_rows(pl.meta["residual_curve"], pl.min_ratio)
+    return _csv_text(PROBE_CSV_HEADER, rows)
 
 
 def cmd_residuals(cfg: RunConfig) -> str:
     if not cfg.lambda_grid:
         raise ConfigError("residuals needs a nonempty lambda_grid")
     k_search = range(-cfg.probe_k_radius, cfg.probe_k_radius + 1)
-    lines = [RESIDUAL_CSV_HEADER]
+    rows = []
     for lam in sorted(cfg.lambda_grid):
-        rc = residual_curve(cfg.space, lam, cfg.n_list, k_search)
-        argmin = rc.meta["argmin"]
-        for n, residual in rc.residuals:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_float(lam),
-                        _fmt_float(rc.theta),
-                        str(n),
-                        _fmt_float(residual),
-                        str(argmin[n]["k"]),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+        rows += _curve_rows(residual_curve(cfg.space, lam, cfg.n_list, k_search))
+    return _csv_text(RESIDUAL_CSV_HEADER, rows)
 
 
 def cmd_witness(cfg: RunConfig) -> dict:
@@ -444,11 +442,12 @@ def cmd_witness(cfg: RunConfig) -> dict:
 
 
 def cmd_report(cfg: RunConfig) -> dict:
+    est = _estimate(cfg)
     report = {
         "command": "report",
         "config": _config_echo(cfg),
-        "indices": cmd_indices(cfg),
-        "spectrum": cmd_spectrum(cfg),
+        "indices": _indices_report(cfg, est),
+        "spectrum": _spectrum_report(cfg, est),
     }
     if cfg.witness is not None:
         report["witness"] = cmd_witness(cfg)

@@ -19,7 +19,6 @@ import numpy as np
 from .indices import IndexSet, WeightSeq
 from .shifts import Seq, geometric_window, shift_minus, squared_window
 from .spaces import SpaceSpec, block_norm
-from .steps import disjoint_sum  # noqa: F401  (re-exported convenience)
 
 __all__ = [
     "ThetaInterval",
@@ -31,7 +30,6 @@ __all__ = [
     "FunctionalSumTest",
     "approx_eigenvalue_set",
     "frep_set",
-    "sufficient_set_general",
     "classify_lambda",
     "residual_curve",
     "probe_lower_bound",
@@ -105,19 +103,6 @@ def approx_eigenvalue_set(ix: IndexSet) -> SpectrumReport:
 def frep_set(ix: IndexSet) -> SpectrumReport:
     """Same report; read the p-coordinate view via .frep_set."""
     return approx_eigenvalue_set(ix)
-
-
-def sufficient_set_general(ix_phi: IndexSet) -> SpectrumReport:
-    """Assembly from fundamental-function indices alone: always a subset of
-    the true set, marked sufficient_only."""
-    rep = approx_eigenvalue_set(ix_phi)
-    return SpectrumReport(
-        rep.eigen_set,
-        rep.case_tag,
-        rep.source,
-        sufficient_only=True,
-        split_uncertain=rep.split_uncertain,
-    )
 
 
 class Verdict(str, Enum):
@@ -197,6 +182,44 @@ def _ratio(space: SpaceSpec, lam: float, a: Seq) -> float:
     return block_norm(space, shift_minus(a, lam)) / block_norm(space, a)
 
 
+def _window_scan(
+    space: SpaceSpec, lam: float, rate: float, ns: Sequence[int], ks: Sequence[int]
+) -> list[tuple[int, float, int, str]]:
+    """(n, best ratio, argmin k, construction) per distinct n, ascending, for
+    windows of the given rate scored under shift - lam as in residual_curve.
+    The first strict minimum in k order wins, geometric before squared."""
+    out = []
+    for n in sorted(set(int(n) for n in ns)):
+        best, best_k, best_kind = math.inf, ks[0], "geometric"
+        for k in ks:
+            r = _ratio(space, lam, geometric_window(rate, k, n))
+            if r < best:
+                best, best_k, best_kind = r, k, "geometric"
+            sq = squared_window(rate, k, n)
+            t1 = shift_minus(sq, lam)
+            r1 = block_norm(space, t1) / block_norm(space, sq)
+            r2 = block_norm(space, shift_minus(t1, lam)) / block_norm(space, t1)
+            r = min(r1, r2)
+            if r < best:
+                best, best_k, best_kind = r, k, "squared"
+        out.append((n, best, best_k, best_kind))
+    return out
+
+
+def _curve(lam: float, ks: Sequence[int], scan: list) -> ProbeResult:
+    residuals = tuple((n, r) for n, r, _, _ in scan)
+    return ProbeResult(
+        lam,
+        math.log2(lam),
+        min((r for _, r in residuals), default=math.inf),
+        residuals,
+        meta={
+            "argmin": {n: {"k": k, "construction": kind} for n, _, k, kind in scan},
+            "k_search": [ks[0], ks[-1]],
+        },
+    )
+
+
 def residual_curve(
     space: SpaceSpec,
     lam: float,
@@ -214,34 +237,7 @@ def residual_curve(
     ks = sorted(set(int(k) for k in k_search))
     if not ks:
         raise ValueError("empty k_search")
-    residuals: list[tuple[int, float]] = []
-    argmin: dict[int, dict] = {}
-    for n in sorted(set(int(n) for n in n_list)):
-        best = math.inf
-        best_k = ks[0]
-        best_kind = "geometric"
-        for k in ks:
-            g = geometric_window(lam, k, n)
-            r_geo = _ratio(space, lam, g)
-            if r_geo < best:
-                best, best_k, best_kind = r_geo, k, "geometric"
-            sq = squared_window(lam, k, n)
-            t1 = shift_minus(sq, lam)
-            r1 = block_norm(space, t1) / block_norm(space, sq)
-            r2 = block_norm(space, shift_minus(t1, lam)) / block_norm(space, t1)
-            r_sq = min(r1, r2)
-            if r_sq < best:
-                best, best_k, best_kind = r_sq, k, "squared"
-        residuals.append((n, best))
-        argmin[n] = {"k": best_k, "construction": best_kind}
-    min_ratio = min(r for _, r in residuals)
-    return ProbeResult(
-        lam,
-        math.log2(lam),
-        min_ratio,
-        tuple(residuals),
-        meta={"argmin": argmin, "k_search": [ks[0], ks[-1]]},
-    )
+    return _curve(lam, ks, _window_scan(space, lam, lam, n_list, ks))
 
 
 def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
@@ -271,14 +267,18 @@ def probe_lower_bound(
     The suite contains unit vectors across the window, geometric and squared
     windows at rates lam and (when ix is given) 2**alpha and 2**beta, and
     seeded random finite sequences.  The result upper-bounds the operator's
-    lower norm bound; small values are eigenvalue evidence.
+    lower norm bound; small values are eigenvalue evidence.  Its residuals
+    are the best window ratio per n over all rates, and
+    meta["residual_curve"] holds the rate-lam scan as the ProbeResult of
+    residual_curve(space, lam, cfg.n_values, range(cfg.k_lo, cfg.k_hi + 1)).
     """
     if not lam > 0:
         raise ValueError(f"positive lam required, got {lam}")
+    ks = range(cfg.k_lo, cfg.k_hi + 1)
     best = math.inf
     best_probe = None
 
-    for k in range(cfg.k_lo, cfg.k_hi + 1):
+    for k in ks:
         r = _ratio(space, lam, Seq.unit(k))
         if r < best:
             best, best_probe = r, ("unit", k)
@@ -288,36 +288,27 @@ def probe_lower_bound(
         rates += [2.0**ix.alpha, 2.0**ix.beta]
     rates = sorted(set(rates))
 
-    per_n_best: dict[int, float] = {n: math.inf for n in cfg.n_values}
+    per_n_best: dict[int, float] = {}
     for rate in rates:
-        for n in sorted(cfg.n_values):
-            for k in range(cfg.k_lo, cfg.k_hi + 1):
-                g = geometric_window(rate, k, n)
-                r = _ratio(space, lam, g)
-                per_n_best[n] = min(per_n_best[n], r)
-                if r < best:
-                    best, best_probe = r, ("geometric", rate, k, n)
-                sq = squared_window(rate, k, n)
-                t1 = shift_minus(sq, lam)
-                r1 = block_norm(space, t1) / block_norm(space, sq)
-                r2 = block_norm(space, shift_minus(t1, lam)) / block_norm(space, t1)
-                r = min(r1, r2)
-                per_n_best[n] = min(per_n_best[n], r)
-                if r < best:
-                    best, best_probe = r, ("squared", rate, k, n)
+        scan = _window_scan(space, lam, rate, cfg.n_values, ks)
+        if rate == lam:
+            curve = _curve(lam, ks, scan)
+        for n, r, k, kind in scan:
+            per_n_best[n] = min(per_n_best.get(n, math.inf), r)
+            if r < best:
+                best, best_probe = r, (kind, rate, k, n)
 
     for i, seq in enumerate(_random_probes(cfg, lam_index)):
         r = _ratio(space, lam, seq)
         if r < best:
             best, best_probe = r, ("random", i)
 
-    residuals = tuple((n, per_n_best[n]) for n in sorted(cfg.n_values))
     return ProbeResult(
         lam,
         math.log2(lam),
         best,
-        residuals,
-        meta={"best_probe": best_probe, "suite": "standard"},
+        tuple(sorted(per_n_best.items())),
+        meta={"best_probe": best_probe, "suite": "standard", "residual_curve": curve},
     )
 
 

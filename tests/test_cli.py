@@ -93,6 +93,49 @@ def test_witness_p_below_one(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"witness": {"lam": 0}},
+        {"witness": {"p": 0}},
+        {"witness": {"theta": 0.5, "n_copies": 0}},
+        {"witness": {"theta": 0.5, "windows": [2.7]}},
+        {"witness": {"theta": 0.5, "n_random": -1}},
+        {"n_max": 0},
+        {"n_list": []},
+        {"n_list": [100000]},
+        {"n_random": -1},
+    ],
+    ids=[
+        "witness-lam-0",
+        "witness-p-0",
+        "witness-n_copies-0",
+        "witness-windows-fraction",
+        "witness-n_random-negative",
+        "n_max-0",
+        "n_list-empty",
+        "n_list-past-block-range",
+        "n_random-negative",
+    ],
+)
+def test_bad_config_is_config_error(capsys, tmp_path, overrides):
+    code, _, err = run(capsys, "indices", "--config", write_config(tmp_path, **overrides))
+    assert code == 2
+    assert any(line.startswith("config error:") for line in err.splitlines())
+
+
+def test_n_list_block_range_bound_is_exact(capsys, tmp_path):
+    """probe_k_radius + 2*n + 2 <= 1000: the largest accepted n still runs."""
+    cfgpath = write_config(tmp_path, probe_k_radius=1, n_list=[498], lambda_grid=[1.5])
+    code, out, _ = run(capsys, "residuals", "--config", cfgpath)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "498"
+    cfgpath = write_config(tmp_path, probe_k_radius=1, n_list=[499], lambda_grid=[1.5])
+    code, _, err = run(capsys, "residuals", "--config", cfgpath)
+    assert code == 2
+    assert "n_list" in err
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
     def boom(cfg):
         raise NumericalError("synthetic")
@@ -211,6 +254,33 @@ def test_residuals_csv_header(capsys, tmp_path):
     code, out, _ = run(capsys, "residuals", "--config", write_config(tmp_path))
     assert code == 0
     assert out.splitlines()[0] == RESIDUAL_CSV_HEADER
+
+
+@pytest.mark.parametrize("command", ["probe", "residuals"])
+def test_duplicate_n_list_entries_ignored(command, capsys, tmp_path):
+    code, dup, _ = run(capsys, command, "--config", write_config(tmp_path, n_list=[4, 4, 8]))
+    assert code == 0
+    code, plain, _ = run(capsys, command, "--config", write_config(tmp_path, n_list=[4, 8]))
+    assert code == 0
+    assert dup == plain
+
+
+def test_probe_residual_columns_match_residuals_orlicz(capsys, tmp_path):
+    cfgpath = write_config(
+        tmp_path,
+        space={"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}},
+        probe_k_radius=8,
+        n_random=5,
+    )
+    code, probe_out, _ = run(capsys, "probe", "--config", cfgpath)
+    assert code == 0
+    code, resid_out, _ = run(capsys, "residuals", "--config", cfgpath)
+    assert code == 0
+    probe_rows = [line.split(",") for line in probe_out.splitlines()[1:]]
+    resid_rows = [line.split(",") for line in resid_out.splitlines()[1:]]
+    assert len(probe_rows) == len(resid_rows) == 4
+    # lambda, theta, n, residual, argmin_k; probe adds min_ratio after theta
+    assert [r[:2] + r[3:] for r in probe_rows] == resid_rows
 
 
 def test_probe_rerun_identical(tmp_path, capsys):

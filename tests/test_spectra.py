@@ -26,7 +26,6 @@ from rispect import (
     range_identity_check,
     residual_curve,
     shift_minus,
-    sufficient_set_general,
 )
 
 
@@ -110,12 +109,6 @@ def test_frep_lorentz_q_spaces(q):
 
     rep = frep_set(analytic_indices(Lorentz(q, PurePower(1.0))))
     assert [iv.to_p() for iv in rep.eigen_set] == [(float(q), float(q))]
-
-
-def test_sufficient_set_flag(quarter):
-    rep = sufficient_set_general(analytic_indices(quarter))
-    assert rep.sufficient_only
-    assert rep.eigen_set
 
 
 # --- lambda classification ----------------------------------------------------------
