@@ -216,7 +216,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite number {x}")
+        raise NumericalError(f"cannot serialize non-finite number {x}")
     return format(x, ".17g")
 
 

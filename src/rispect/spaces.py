@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .shifts import Seq
+from .shifts import Seq, shift
 from .steps import Distribution, dyadic_embed, dyadic_sample
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "orlicz_seq_norm",
     "space_norm",
     "block_norm",
+    "block_norms",
     "dyadic_sample_norm",
     "fn_to_json",
     "fn_from_json",
@@ -261,15 +262,23 @@ def fundamental(space: SpaceSpec, t: float) -> float:
     return 1.0 / orlicz_inverse(space.N, 1.0 / t)
 
 
+def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpec) -> np.ndarray:
+    """Row i: (sum_j v_j**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i the
+    cumulative sums of measures[i]; values shared by all rows."""
+    psi_vals = np.asarray(psi.value(np.cumsum(measures, axis=1)), dtype=float)
+    dpsi = psi_vals.copy()  # np.diff(psi_vals, prepend=0.0) per row, at a fraction of its cost
+    dpsi[:, 1:] -= psi_vals[:, :-1]
+    sums = (values**q * dpsi).sum(axis=1)
+    # Python float pow per row: the array power rounds differently in the last ulp.
+    return np.array([s ** (1.0 / q) for s in sums.tolist()])
+
+
 def lorentz_norm(d: Distribution, q: float, psi: FnSpec) -> float:
     """(sum_i v_i**q * (psi(T_i) - psi(T_{i-1})))**(1/q) over the decreasing
     profile of d with breakpoints T_i (psi(T_0) taken as 0)."""
     if d.is_zero:
         return 0.0
-    breaks = np.cumsum(d.measures)
-    psi_vals = np.asarray(psi.value(breaks), dtype=float)
-    dpsi = np.diff(psi_vals, prepend=0.0)
-    return float(np.sum(d.values**q * dpsi) ** (1.0 / q))
+    return float(_lorentz_rows(d.values, d.measures[None, :], q, psi)[0])
 
 
 def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
@@ -314,6 +323,55 @@ def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float
     return 0.5 * (lo + hi)
 
 
+def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
+    """Row i: _luxemburg_root(values, weights[i], N), taking the same steps.
+
+    Every row starts from the same u0 and runs the same doubling or halving
+    bracket and the same bisection with the same stop test; rows that have
+    finished are masked out, so they do not move.
+    """
+    if isinstance(N, PurePower):
+        sums = (weights * values**N.a).sum(axis=1)
+        return np.array([s ** (1.0 / N.a) for s in sums.tolist()])
+
+    def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            terms = np.asarray(N.value(values / u[:, None]), dtype=float)
+            return (weights[rows] * terms).sum(axis=1)
+
+    every = np.arange(weights.shape[0])
+    u0 = float(values.max())
+    m0 = modular(np.full(every.size, u0), every)
+    up = m0 > 1.0
+    lo = np.where(up, u0, 0.5 * u0)
+    hi = np.where(up, 2.0 * u0, u0)
+    rows = every[m0 != 1.0]
+    for _ in range(_MAX_BISECT):
+        if not rows.size:
+            break
+        r_up = up[rows]
+        m = modular(np.where(r_up, hi[rows], lo[rows]), rows)
+        # Negated tests as in _luxemburg_root: a NaN modular keeps a row going.
+        going = np.where(r_up, ~(m <= 1.0), ~(m >= 1.0))
+        rows, r_up = rows[going], r_up[going]
+        lo_r, hi_r = lo[rows], hi[rows]
+        lo[rows] = np.where(r_up, hi_r, 0.5 * lo_r)
+        hi[rows] = np.where(r_up, 2.0 * hi_r, lo_r)
+    if rows.size:
+        side = "above" if up[rows[0]] else "below"
+        raise NumericalError(f"luxemburg bracketing failed {side}")
+    rows = every[m0 != 1.0]
+    for _ in range(_MAX_BISECT):
+        rows = rows[~(hi[rows] - lo[rows] <= LUX_REL_TOL * lo[rows])]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        above = modular(mid, rows) >= 1.0
+        lo[rows] = np.where(above, mid, lo[rows])
+        hi[rows] = np.where(above, hi[rows], mid)
+    return np.where(m0 == 1.0, u0, 0.5 * (lo + hi))
+
+
 def luxemburg_norm(d: Distribution, N: FnSpec) -> float:
     """inf{u > 0 : sum_i m_i * N(v_i / u) <= 1}."""
     if d.is_zero:
@@ -350,6 +408,28 @@ def space_norm(space: SpaceSpec, d: Distribution) -> float:
 def block_norm(space: SpaceSpec, a: Seq) -> float:
     """Norm of the dyadic step function with coefficient a_k on block k."""
     return space_norm(space, dyadic_embed(a).distribution())
+
+
+def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
+    """Element i is block_norm(space, shift(a, ks[i])), bit for bit.
+
+    Shifting a by k leaves its coefficient values, hence their decreasing
+    order and the merged atoms, independent of k; it only multiplies every
+    block measure by 2**k, which is exact in floating point.  So the
+    distribution is canonicalised once and its measures scaled per row, and
+    all rows are normed in one array evaluation.  Raises ValueError when a
+    shifted block leaves the exact-measure range |k| <= 1000.
+    """
+    ks = np.asarray(ks, dtype=int)
+    if a.is_zero or not ks.size:
+        return np.zeros(ks.size)
+    if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
+        raise ValueError("shifted block index outside the exact-measure range")
+    d = dyadic_embed(shift(a, -a.k_min)).distribution()
+    measures = np.ldexp(1.0, ks + a.k_min)[:, None] * d.measures
+    if isinstance(space, Lorentz):
+        return _lorentz_rows(d.values, measures, space.q, space.psi)
+    return _luxemburg_rows(d.values, measures, space.N)
 
 
 def dyadic_sample_norm(space: SpaceSpec, d: Distribution) -> float:

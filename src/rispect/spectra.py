@@ -18,7 +18,7 @@ import numpy as np
 
 from .indices import IndexSet, WeightSeq
 from .shifts import Seq, geometric_window, shift_minus, squared_window
-from .spaces import SpaceSpec, block_norm
+from .spaces import NumericalError, SpaceSpec, block_norm, block_norms
 
 __all__ = [
     "ThetaInterval",
@@ -178,8 +178,27 @@ class ProbeResult:
             raise ValueError("residual entries must have strictly increasing n")
 
 
+def _image(a: Seq, lam: float) -> Seq:
+    """shift_minus(a, lam); NumericalError when a coefficient overflows."""
+    b = shift_minus(a, lam)
+    if not all(math.isfinite(v) for v in b.coeffs.values()):
+        raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
+    return b
+
+
 def _ratio(space: SpaceSpec, lam: float, a: Seq) -> float:
-    return block_norm(space, shift_minus(a, lam)) / block_norm(space, a)
+    return block_norm(space, _image(a, lam)) / block_norm(space, a)
+
+
+def _never_wins(r: np.ndarray) -> np.ndarray:
+    """NaN (a norm that overflowed) read as inf: neither is a strict minimum."""
+    return np.where(np.isnan(r), np.inf, r)
+
+
+def _ratios(space: SpaceSpec, lam: float, a: Seq, ks: Sequence[int]) -> np.ndarray:
+    """_ratio of shift(a, k) for every k in ks, NaN read as inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _never_wins(block_norms(space, _image(a, lam), ks) / block_norms(space, a, ks))
 
 
 def _window_scan(
@@ -187,22 +206,35 @@ def _window_scan(
 ) -> list[tuple[int, float, int, str]]:
     """(n, best ratio, argmin k, construction) per distinct n, ascending, for
     windows of the given rate scored under shift - lam as in residual_curve.
-    The first strict minimum in k order wins, geometric before squared."""
+    The first strict minimum in k order wins, geometric before squared.
+
+    The window starting at k is shift(window at 0, k): its coefficient values
+    do not depend on k, and moving it by k scales every block measure by
+    2**k, exactly.  So each window and each image is built once, at k = 0,
+    and block_norms evaluates all k at once, bit for bit as k-by-k norms.
+    """
     out = []
     for n in sorted(set(int(n) for n in ns)):
-        best, best_k, best_kind = math.inf, ks[0], "geometric"
-        for k in ks:
-            r = _ratio(space, lam, geometric_window(rate, k, n))
-            if r < best:
-                best, best_k, best_kind = r, k, "geometric"
-            sq = squared_window(rate, k, n)
-            t1 = shift_minus(sq, lam)
-            r1 = block_norm(space, t1) / block_norm(space, sq)
-            r2 = block_norm(space, shift_minus(t1, lam)) / block_norm(space, t1)
-            r = min(r1, r2)
-            if r < best:
-                best, best_k, best_kind = r, k, "squared"
-        out.append((n, best, best_k, best_kind))
+        try:
+            geo = geometric_window(rate, 0, n)
+            sq = squared_window(rate, 0, n)
+        except OverflowError as exc:
+            raise NumericalError(f"window at rate {rate} overflows") from exc
+        geometric = _ratios(space, lam, geo, ks)
+        t1 = _image(sq, lam)
+        norm_t1 = block_norms(space, t1, ks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1 = norm_t1 / block_norms(space, sq, ks)
+            r2 = block_norms(space, _image(t1, lam), ks) / norm_t1
+        # min(r1, r2) as Python's min takes it, NaN included.
+        squared = _never_wins(np.where(r2 < r1, r2, r1))
+        # At each k the squared window replaces the geometric one only when
+        # strictly better; argmin then takes the first minimum in k order.
+        pick_sq = squared < geometric
+        best = np.where(pick_sq, squared, geometric)
+        i = int(np.argmin(best))
+        kind = "squared" if pick_sq[i] else "geometric"
+        out.append((n, float(best[i]), int(ks[i]), kind))
     return out
 
 
@@ -246,7 +278,9 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((cfg.seed, lam_index, i)))
         )
-        length = int(rng.integers(1, cfg.random_max_len + 1))
+        # A draw longer than the k range is cut to it; shorter draws are
+        # unchanged, so every suite that ran before keeps its probes.
+        length = min(int(rng.integers(1, cfg.random_max_len + 1)), cfg.k_hi - cfg.k_lo + 1)
         start = int(rng.integers(cfg.k_lo, cfg.k_hi - length + 2))
         vals = rng.standard_normal(length)
         seq = Seq({start + j: float(v) for j, v in enumerate(vals)})
@@ -278,10 +312,10 @@ def probe_lower_bound(
     best = math.inf
     best_probe = None
 
-    for k in ks:
-        r = _ratio(space, lam, Seq.unit(k))
-        if r < best:
-            best, best_probe = r, ("unit", k)
+    units = _ratios(space, lam, Seq.unit(0), ks)
+    i = int(np.argmin(units))
+    if units[i] < best:
+        best, best_probe = float(units[i]), ("unit", ks[i])
 
     rates = [lam]
     if ix is not None:

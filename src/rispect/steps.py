@@ -76,7 +76,9 @@ def _canonical_atoms(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float,
             merged[-1][1] += measure
         else:
             merged.append([value, measure])
-    return tuple((v, m) for v, m in merged)
+    # tuple() of a list allocates the exact size; from a generator it grows
+    # the tuple by resizing, which fills CPython's tuple free lists.
+    return tuple([(v, m) for v, m in merged])
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,9 @@ class DyadicStep:
         return tuple(sorted(self.coeffs))
 
     def distribution(self) -> Distribution:
-        return Distribution(
-            tuple((abs(v), math.ldexp(1.0, k)) for k, v in sorted(self.coeffs.items()))
-        )
+        # A list, not a generator: see _canonical_atoms.
+        atoms = [(abs(v), math.ldexp(1.0, k)) for k, v in sorted(self.coeffs.items())]
+        return Distribution(tuple(atoms))
 
     def to_positioned(self) -> "PositionedStep":
         pieces = tuple(

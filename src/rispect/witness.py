@@ -78,10 +78,12 @@ def lp_norm(coeffs: Sequence[float], theta: float) -> float:
     arr = np.abs(np.asarray(coeffs, dtype=float))
     if arr.size == 0:
         return 0.0
-    if theta == 0.0:
-        return float(arr.max())
+    m = float(arr.max())
+    if theta == 0.0 or m == 0.0:
+        return m
     p = 1.0 / theta
-    return float(np.sum(arr**p) ** (1.0 / p))
+    # Scaled by the largest entry, so that arr**p cannot overflow for large p.
+    return m * float(((arr / m) ** p).sum()) ** (1.0 / p)
 
 
 def standard_probes(

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispect import NumericalError, cli
 from rispect.cli import PROBE_CSV_HEADER, RESIDUAL_CSV_HEADER, main
@@ -361,3 +365,63 @@ def test_seed_must_fit_64_bits(capsys, tmp_path):
     code, _, err = run(capsys, "indices", "--config", write_config(tmp_path, seed=2**64))
     assert code == 2
     assert "seed" in err
+
+
+# --- exit-code contract -------------------------------------------------------------
+
+FUZZ_SPACES = [QUARTER, {"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}}]
+
+
+@pytest.mark.parametrize("command", ["probe", "residuals", "witness"])
+@settings(max_examples=50)
+@given(
+    space=st.sampled_from(FUZZ_SPACES),
+    log_lams=st.lists(st.floats(-300, 300), min_size=1, max_size=3),
+    probe_k_radius=st.integers(1, 12),
+    n_list=st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True),
+    n_random=st.integers(0, 30),
+    theta=st.floats(0.0, 1.0),
+    n_copies=st.integers(1, 20),
+)
+def test_exit_code_contract(
+    command, tmp_path_factory, space, log_lams, probe_k_radius, n_list, n_random, theta, n_copies
+):
+    """Every run ends in exit 0, 2 or 3; no exception escapes main."""
+    cfgpath = write_config(
+        tmp_path_factory.mktemp("fuzz"),
+        space=space,
+        lambda_grid=[10.0**x for x in log_lams],
+        probe_k_radius=probe_k_radius,
+        n_list=n_list,
+        n_random=n_random,
+        witness={"theta": theta, "n_copies": n_copies, "windows": [4], "n_random": n_random},
+    )
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", cfgpath])
+    assert code in (0, 2, 3)
+
+
+def test_probe_random_probes_fit_a_short_k_range(capsys, tmp_path):
+    """A random probe drawn longer than the k range is cut to it."""
+    cfgpath = write_config(tmp_path, probe_k_radius=4, n_random=20, n_list=[1])
+    code, out, _ = run(capsys, "probe", "--config", cfgpath)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("space", FUZZ_SPACES, ids=["lorentz", "orlicz"])
+@pytest.mark.parametrize("lam", [1e300, 1e-300])
+@pytest.mark.parametrize("command", ["probe", "residuals"])
+def test_extreme_rate_is_numerical_failure(command, lam, space, capsys, tmp_path):
+    cfgpath = write_config(tmp_path, space=space, lambda_grid=[lam])
+    code, _, err = run(capsys, command, "--config", cfgpath)
+    assert code == 3
+    assert any(line.startswith("numerical failure:") for line in err.splitlines())
+
+
+def test_witness_small_theta(capsys, tmp_path):
+    """theta = 0.001 is p = 1000, where coefficients**p used to overflow."""
+    witness = {"theta": 0.001, "n_copies": 16, "windows": [8], "n_random": 40}
+    code, out, _ = run(capsys, "witness", "--config", write_config(tmp_path, witness=witness))
+    assert code == 0
+    assert json.loads(out)["results"][0]["distortion"] >= 1.0

@@ -24,6 +24,12 @@ def test_lp_norm_basics():
     assert lp_norm([], 0.5) == 0.0
 
 
+def test_lp_norm_large_p_and_large_entries():
+    assert lp_norm([3.0, -4.0], 0.001) == pytest.approx(4.0, rel=1e-3)
+    assert lp_norm([1e300, -1e300], 0.5) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+    assert lp_norm([0.0, 0.0], 0.5) == 0.0
+
+
 def test_lp_norm_between_sum_and_max():
     v = [1.0, -2.0, 0.5, 3.0]
     for theta in (0.1, 0.3, 0.7, 0.9):
