@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .indices import IndexSet, analytic_indices, block_weights, estimate_indices
@@ -60,7 +60,6 @@ class RunConfig:
     n_random: int = 200
     seed: int = 0x5EED
     witness: Optional[WitnessConfig] = None
-    raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
@@ -126,7 +125,12 @@ def _int_list(obj: dict, name: str, default: tuple) -> tuple[int, ...]:
     return out
 
 
-def _parse_witness(obj, default_windows=(8, 32)) -> WitnessConfig:
+def _window_start(k: Optional[int], window_n: int) -> int:
+    """First block of a witness window: k, or by default -(window_n + 40)."""
+    return k if k is not None else -(window_n + 40)
+
+
+def _parse_witness(obj) -> WitnessConfig:
     if not isinstance(obj, dict):
         raise ConfigError("field witness must be an object")
     if "theta" in obj:
@@ -149,13 +153,18 @@ def _parse_witness(obj, default_windows=(8, 32)) -> WitnessConfig:
         raise ConfigError("field witness needs one of theta, lam, p")
     if not 0.0 <= theta <= 1.0:
         raise ConfigError(f"witness theta={theta} outside [0, 1]")
-    windows = _int_list(obj, "windows", default_windows)
-    for n in windows:
-        if n < 1:
-            raise ConfigError(f"witness windows entries must be >= 1, got {n}")
     k = obj.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
         raise ConfigError(f"field witness.k must be an integer, got {k!r}")
+    windows = _int_list(obj, "windows", (8, 32))
+    for n in windows:
+        if n < 1:
+            raise ConfigError(f"witness windows entries must be >= 1, got {n}")
+        start = _window_start(k, n)
+        if start < -1000 or start + n > 1000:
+            raise ConfigError(
+                f"witness window {n} at k={start} leaves the exact block range [-1000, 1000]"
+            )
     n_copies = _opt_int(obj, "n_copies", 16)
     if n_copies < 1:
         raise ConfigError(f"witness n_copies must be >= 1, got {n_copies}")
@@ -206,7 +215,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         n_random=_opt_int(raw, "n_random", 200),
         seed=seed,
         witness=witness,
-        raw=raw,
     )
 
 
@@ -421,7 +429,7 @@ def cmd_witness(cfg: RunConfig) -> dict:
     lam = 2.0**wc.theta
     results = []
     for window_n in wc.windows:
-        k = wc.k if wc.k is not None else -(window_n + 40)
+        k = _window_start(wc.k, window_n)
         fam = build_witness(cfg.space, lam, wc.n_copies, window_n, k)
         probes = standard_probes(wc.n_copies, wc.theta, cfg.seed, wc.n_random)
         results.append(

@@ -1,7 +1,7 @@
-"""Finitely supported bi-infinite sequences and the shifted-difference operators.
+"""Shift operators on block sequences, window constructions and the right inverse.
 
 The central object is the operator  a |-> shift(a, 1) - lam * a  acting on
-finitely supported real sequences indexed by the integers.  Windowed
+finitely supported block sequences `Seq` (defined in `steps`).  Windowed
 geometric profiles make its operator norm collapse (telescoping), and a
 two-sided series gives an explicit right inverse wherever the weighted tails
 converge.
@@ -10,8 +10,9 @@ converge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+
+from .steps import Seq
 
 __all__ = [
     "Seq",
@@ -19,10 +20,8 @@ __all__ = [
     "SeriesDivergenceError",
     "shift",
     "shift_minus",
-    "backshift_minus",
     "geometric_window",
     "squared_window",
-    "squared_window_dual",
     "solve_shift_minus",
 ]
 
@@ -33,78 +32,6 @@ _TERM_OVERFLOW = 1e250
 
 class SeriesDivergenceError(ArithmeticError):
     """Raised when a weighted series fails to decay within the index cap."""
-
-
-@dataclass(frozen=True)
-class Seq:
-    """Finitely supported real sequence; zero coefficients are dropped."""
-
-    coeffs: Mapping[int, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean = {int(k): float(v) for k, v in self.coeffs.items() if v != 0.0}
-        object.__setattr__(self, "coeffs", clean)
-
-    @classmethod
-    def unit(cls, k: int) -> "Seq":
-        return cls({k: 1.0})
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "Seq":
-        out: dict[int, float] = {}
-        for k, v in pairs:
-            out[k] = out.get(k, 0.0) + v
-        return cls(out)
-
-    def __getitem__(self, k: int) -> float:
-        return self.coeffs.get(k, 0.0)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        """Coefficients in increasing index order (deterministic iteration)."""
-        for k in sorted(self.coeffs):
-            yield k, self.coeffs[k]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def k_min(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero sequence has no support")
-        return min(self.coeffs)
-
-    @property
-    def k_max(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero sequence has no support")
-        return max(self.coeffs)
-
-    def sup_norm(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
-    def __add__(self, other: "Seq") -> "Seq":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return Seq(out)
-
-    def __sub__(self, other: "Seq") -> "Seq":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) - v
-        return Seq(out)
-
-    def __neg__(self) -> "Seq":
-        return Seq({k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, c: float) -> "Seq":
-        return Seq({k: c * v for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -127,17 +54,6 @@ def shift_minus(a: Seq, lam: float) -> Seq:
     out: dict[int, float] = {}
     for k, v in a.coeffs.items():
         out[k + 1] = out.get(k + 1, 0.0) + v
-        out[k] = out.get(k, 0.0) - lam * v
-    return Seq(out)
-
-
-def backshift_minus(a: Seq, lam: float) -> Seq:
-    """Apply shift(., -1) - lam * id:  result[k] = a[k+1] - lam * a[k]."""
-    if not lam > 0:
-        raise ValueError(f"positive lam required, got {lam}")
-    out: dict[int, float] = {}
-    for k, v in a.coeffs.items():
-        out[k - 1] = out.get(k - 1, 0.0) + v
         out[k] = out.get(k, 0.0) - lam * v
     return Seq(out)
 
@@ -170,20 +86,6 @@ def squared_window(lam: float, k: int, n: int) -> Seq:
     for j in range(2 * n + 1):
         mult = j + 1 if j <= n else 2 * n + 1 - j
         out[k + j] = mult * lam ** (-j)
-    return Seq(out)
-
-
-def squared_window_dual(lam: float, k: int, n: int) -> Seq:
-    """Mirror image of squared_window: coefficient at k+n-j is (j+1)*lam**(-j)
-    for 0 <= j <= n and (2n+1-j)*lam**(-j) for n < j <= 2n."""
-    if not lam > 0:
-        raise ValueError(f"positive lam required, got {lam}")
-    if n < 0:
-        raise ValueError(f"nonnegative n required, got {n}")
-    out: dict[int, float] = {}
-    for j in range(2 * n + 1):
-        mult = j + 1 if j <= n else 2 * n + 1 - j
-        out[k + n - j] = mult * lam ** (-j)
     return Seq(out)
 
 

@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .shifts import Seq, shift
-from .steps import Distribution, dyadic_embed, dyadic_sample
+from .shifts import shift
+from .steps import Distribution, Seq, dyadic_sample
 
 __all__ = [
     "NumericalError",
@@ -49,6 +49,9 @@ __all__ = [
 LUX_REL_TOL = 1e-12
 INV_REL_TOL = 1e-12
 _MAX_BISECT = 200
+# Doublings or halvings allowed when bracketing a root: block measures reach
+# 2**+-1000, which puts a root hundreds of doublings from its first guess.
+_MAX_BRACKET = 1100
 
 
 class NumericalError(ArithmeticError):
@@ -230,13 +233,13 @@ def orlicz_inverse(N: FnSpec, u: float) -> float:
         return u ** (1.0 / N.a0) if u <= 1.0 else u ** (1.0 / N.a_inf)
 
     lo = hi = 1.0
-    for _ in range(1100):
+    for _ in range(_MAX_BRACKET):
         if float(N.value(hi)) >= u:
             break
         hi *= 2.0
     else:
         raise NumericalError(f"failed to bracket N inverse above for u={u}")
-    for _ in range(1100):
+    for _ in range(_MAX_BRACKET):
         if float(N.value(lo)) <= u:
             break
         lo /= 2.0
@@ -298,7 +301,7 @@ def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float
         return u0
     if m0 > 1.0:
         lo, hi = u0, 2.0 * u0
-        for _ in range(_MAX_BISECT):
+        for _ in range(_MAX_BRACKET):
             if modular(hi) <= 1.0:
                 break
             lo, hi = hi, 2.0 * hi
@@ -306,7 +309,7 @@ def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float
             raise NumericalError("luxemburg bracketing failed above")
     else:
         lo, hi = 0.5 * u0, u0
-        for _ in range(_MAX_BISECT):
+        for _ in range(_MAX_BRACKET):
             if modular(lo) >= 1.0:
                 break
             lo, hi = 0.5 * lo, lo
@@ -346,7 +349,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     lo = np.where(up, u0, 0.5 * u0)
     hi = np.where(up, 2.0 * u0, u0)
     rows = every[m0 != 1.0]
-    for _ in range(_MAX_BISECT):
+    for _ in range(_MAX_BRACKET):
         if not rows.size:
             break
         r_up = up[rows]
@@ -407,7 +410,7 @@ def space_norm(space: SpaceSpec, d: Distribution) -> float:
 
 def block_norm(space: SpaceSpec, a: Seq) -> float:
     """Norm of the dyadic step function with coefficient a_k on block k."""
-    return space_norm(space, dyadic_embed(a).distribution())
+    return space_norm(space, a.distribution())
 
 
 def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
@@ -425,7 +428,7 @@ def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
         return np.zeros(ks.size)
     if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
         raise ValueError("shifted block index outside the exact-measure range")
-    d = dyadic_embed(shift(a, -a.k_min)).distribution()
+    d = shift(a, -a.k_min).distribution()
     measures = np.ldexp(1.0, ks + a.k_min)[:, None] * d.measures
     if isinstance(space, Lorentz):
         return _lorentz_rows(d.values, measures, space.q, space.psi)

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .indices import IndexSet, WeightSeq
-from .shifts import Seq, geometric_window, shift_minus, squared_window
+from .shifts import geometric_window, shift_minus, squared_window
 from .spaces import NumericalError, SpaceSpec, block_norm, block_norms
+from .steps import Seq
 
 __all__ = [
     "ThetaInterval",
@@ -40,6 +41,8 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12
 _CONVERGED_REL = 1e-9
+# Longest random probe of the standard suite, in blocks.
+RANDOM_MAX_LEN = 16
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class SpectrumReport:
     eigen_set: tuple[ThetaInterval, ...]
     case_tag: str
     source: IndexSet
-    sufficient_only: bool = False
     split_uncertain: bool = False
 
     @property
@@ -158,7 +160,6 @@ class ProbeConfig:
     k_hi: int = 128
     n_values: tuple[int, ...] = (8, 16, 32, 64)
     n_random: int = 200
-    random_max_len: int = 16
     seed: int = 0x5EED
 
 
@@ -280,7 +281,7 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
         )
         # A draw longer than the k range is cut to it; shorter draws are
         # unchanged, so every suite that ran before keeps its probes.
-        length = min(int(rng.integers(1, cfg.random_max_len + 1)), cfg.k_hi - cfg.k_lo + 1)
+        length = min(int(rng.integers(1, RANDOM_MAX_LEN + 1)), cfg.k_hi - cfg.k_lo + 1)
         start = int(rng.integers(cfg.k_lo, cfg.k_hi - length + 2))
         vals = rng.standard_normal(length)
         seq = Seq({start + j: float(v) for j, v in enumerate(vals)})
@@ -342,7 +343,7 @@ def probe_lower_bound(
         math.log2(lam),
         best,
         tuple(sorted(per_n_best.items())),
-        meta={"best_probe": best_probe, "suite": "standard", "residual_curve": curve},
+        meta={"best_probe": best_probe, "residual_curve": curve},
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .shifts import geometric_window
 from .spaces import SpaceSpec, space_norm
-from .steps import Distribution, disjoint_sum, dyadic_embed
+from .steps import Distribution, disjoint_sum
 
 __all__ = [
     "WitnessFamily",
@@ -61,7 +61,7 @@ def build_witness(
     """
     if not 1.0 <= lam <= 2.0:
         raise ValueError(f"lam={lam} outside [1, 2] (theta must lie in [0, 1])")
-    raw = dyadic_embed(geometric_window(lam, k, window_n)).distribution()
+    raw = geometric_window(lam, k, window_n).distribution()
     nrm = space_norm(space, raw)
     base = raw.scale(1.0 / nrm)
     return WitnessFamily(

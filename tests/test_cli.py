@@ -105,6 +105,9 @@ def test_witness_p_below_one(capsys, tmp_path):
         {"witness": {"theta": 0.5, "n_copies": 0}},
         {"witness": {"theta": 0.5, "windows": [2.7]}},
         {"witness": {"theta": 0.5, "n_random": -1}},
+        {"witness": {"theta": 0.5, "k": 2000, "windows": [8]}},
+        {"witness": {"theta": 0.5, "windows": [2000]}},
+        {"witness": {"theta": 0.5, "k": 995, "windows": [8]}},
         {"n_max": 0},
         {"n_list": []},
         {"n_list": [100000]},
@@ -116,6 +119,9 @@ def test_witness_p_below_one(capsys, tmp_path):
         "witness-n_copies-0",
         "witness-windows-fraction",
         "witness-n_random-negative",
+        "witness-k-past-block-range",
+        "witness-default-k-past-block-range",
+        "witness-window-end-past-block-range",
         "n_max-0",
         "n_list-empty",
         "n_list-past-block-range",
@@ -138,6 +144,34 @@ def test_n_list_block_range_bound_is_exact(capsys, tmp_path):
     code, _, err = run(capsys, "residuals", "--config", cfgpath)
     assert code == 2
     assert "n_list" in err
+
+
+def test_witness_block_range_bound_is_exact(capsys, tmp_path):
+    """A witness window may end at block 1000 but not past it."""
+    witness = {"theta": 0.5, "k": 992, "windows": [8], "n_random": 5}
+    code, _, _ = run(capsys, "witness", "--config", write_config(tmp_path, witness=witness))
+    assert code == 0
+    witness["k"] = 993
+    code, _, err = run(capsys, "witness", "--config", write_config(tmp_path, witness=witness))
+    assert code == 2
+    assert "witness window" in err
+
+
+def test_orlicz_residuals_at_far_blocks(capsys, tmp_path):
+    """Luxemburg roots of blocks near +-400 bracket: the root lies ~270
+    doublings above the largest value, past the bisection cap of 200."""
+    cfgpath = write_config(
+        tmp_path,
+        space={"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}},
+        k_radius=400,
+        n_max=64,
+        probe_k_radius=400,
+        n_list=[4],
+        lambda_grid=[1.3],
+    )
+    code, out, _ = run(capsys, "residuals", "--config", cfgpath)
+    assert code == 0
+    assert out.splitlines()[1] == "1.3,0.37851162325372983,4,0.4041308542981859,-13"
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
@@ -372,29 +406,59 @@ def test_seed_must_fit_64_bits(capsys, tmp_path):
 FUZZ_SPACES = [QUARTER, {"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}}]
 
 
-@pytest.mark.parametrize("command", ["probe", "residuals", "witness"])
+@pytest.mark.parametrize(
+    "command", ["indices", "spectrum", "probe", "residuals", "witness", "report"]
+)
 @settings(max_examples=50)
 @given(
     space=st.sampled_from(FUZZ_SPACES),
     log_lams=st.lists(st.floats(-300, 300), min_size=1, max_size=3),
     probe_k_radius=st.integers(1, 12),
+    far_radius=st.one_of(st.none(), st.integers(13, 400)),
     n_list=st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True),
     n_random=st.integers(0, 30),
     theta=st.floats(0.0, 1.0),
     n_copies=st.integers(1, 20),
+    # Witness windows near both ends of the exact block range and near 0.
+    witness_k=st.one_of(
+        st.none(), st.integers(-1010, -985), st.integers(-50, 50), st.integers(985, 1010)
+    ),
+    windows=st.lists(st.integers(1, 16), min_size=1, max_size=2),
 )
 def test_exit_code_contract(
-    command, tmp_path_factory, space, log_lams, probe_k_radius, n_list, n_random, theta, n_copies
+    command,
+    tmp_path_factory,
+    space,
+    log_lams,
+    probe_k_radius,
+    far_radius,
+    n_list,
+    n_random,
+    theta,
+    n_copies,
+    witness_k,
+    windows,
 ):
     """Every run ends in exit 0, 2 or 3; no exception escapes main."""
+    if far_radius is not None and space["type"] == "orlicz":
+        # Far blocks: Luxemburg roots there need long brackets.  One window
+        # size and one rate keep the scan over 2 * far_radius + 1 starts cheap.
+        probe_k_radius, n_list, log_lams = far_radius, n_list[:1], log_lams[:1]
     cfgpath = write_config(
         tmp_path_factory.mktemp("fuzz"),
         space=space,
         lambda_grid=[10.0**x for x in log_lams],
+        k_radius=max(64, probe_k_radius),
         probe_k_radius=probe_k_radius,
         n_list=n_list,
         n_random=n_random,
-        witness={"theta": theta, "n_copies": n_copies, "windows": [4], "n_random": n_random},
+        witness={
+            "theta": theta,
+            "n_copies": n_copies,
+            "windows": windows,
+            "k": witness_k,
+            "n_random": n_random,
+        },
     )
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--config", cfgpath])

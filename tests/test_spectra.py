@@ -66,7 +66,6 @@ def test_eigen_set_single_point(lorentz_two):
     rep = approx_eigenvalue_set(analytic_indices(lorentz_two))
     assert rep.case_tag == "i"
     assert intervals(rep) == [(0.5, 0.5)]
-    assert not rep.sufficient_only
 
 
 def test_eigen_set_two_components(quarter):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from rispect import (
     Distribution,
-    DyadicStep,
     PositionedStep,
     Seq,
-    dilate,
     disjoint_sum,
     dyadic_average,
     dyadic_embed,
@@ -21,6 +19,7 @@ from rispect import (
     equimeasurable,
     rearrange,
 )
+from rispect.shifts import shift
 from rispect.steps import floor_log2
 
 atom_lists = st.lists(
@@ -127,7 +126,7 @@ def test_equimeasurable_is_permutation_invariant(pairs):
     assert equimeasurable(d1, d2)
 
 
-# --- DyadicStep / embedding ------------------------------------------------
+# --- Seq as a step function / embedding -----------------------------------
 
 
 def test_embed_unit_vector():
@@ -152,35 +151,16 @@ def test_embed_one_atom_per_distinct_coefficient():
 
 def test_dyadic_step_rejects_far_blocks():
     with pytest.raises(ValueError):
-        DyadicStep({1001: 1.0})
+        Seq({1001: 1.0})
 
 
-def test_to_seq_roundtrip():
-    a = Seq({-3: 1.5, 4: -2.0})
-    assert dyadic_embed(a).to_seq().coeffs == a.coeffs
-
-
-# --- dilate ----------------------------------------------------------------
-
-
-def test_dilate_shifts_blocks():
-    x = DyadicStep({0: 1.0})
-    assert dilate(x, 1).coeffs == {1: 1.0}
-    assert dilate(x, 0).coeffs == x.coeffs
-
-
-@given(
-    st.dictionaries(st.integers(-50, 50), st.floats(-5, 5).filter(lambda v: v != 0), max_size=6),
-    st.integers(-20, 20),
-)
-def test_dilate_group_property(coeffs, n):
-    x = DyadicStep(coeffs)
-    assert dilate(dilate(x, n), -n).coeffs == x.coeffs
+# --- dilation --------------------------------------------------------------
 
 
 def test_dilate_doubles_measures():
-    x = DyadicStep({0: 1.0, 1: 0.5})
-    d = dilate(x, 1).distribution()
+    # dilation by 2 is the shift of the block coefficients by one
+    x = Seq({0: 1.0, 1: 0.5})
+    d = shift(x, 1).distribution()
     assert d.atoms == ((1.0, 2.0), (0.5, 4.0))
 
 
@@ -188,7 +168,7 @@ def test_dilate_doubles_measures():
 
 
 def test_average_fixes_dyadic_steps():
-    x = DyadicStep({0: 1.0, 3: -2.0, -4: 0.25})
+    x = Seq({0: 1.0, 3: -2.0, -4: 0.25})
     assert dyadic_average(x.to_positioned()).coeffs == x.coeffs
 
 
