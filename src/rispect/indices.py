@@ -16,7 +16,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .spaces import Lorentz, Orlicz, PiecewisePower, PurePower, SpaceSpec, fundamental
+from .spaces import Lorentz, Orlicz, PiecewisePower, PurePower, SpaceSpec, fundamentals
 
 __all__ = [
     "Region",
@@ -80,10 +80,7 @@ def block_weights(space: SpaceSpec, k_min: int, k_max: int) -> WeightSeq:
     """Weights s_k = fundamental(space, 2**k) on the index window."""
     if abs(k_min) > 1000 or abs(k_max) > 1000:
         raise ValueError("index window outside the exact block-measure range")
-    s = np.array(
-        [fundamental(space, math.ldexp(1.0, k)) for k in range(k_min, k_max + 1)]
-    )
-    return WeightSeq(k_min, k_max, s)
+    return WeightSeq(k_min, k_max, fundamentals(space, np.ldexp(1.0, np.arange(k_min, k_max + 1))))
 
 
 def ratio_sup(w: WeightSeq, n: int, region: Region, direction: Direction) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,11 +32,13 @@ __all__ = [
     "SpaceSpec",
     "orlicz_inverse",
     "fundamental",
+    "fundamentals",
     "lorentz_norm",
     "luxemburg_norm",
     "lorentz_seq_norm",
     "orlicz_seq_norm",
     "space_norm",
+    "space_norms",
     "block_norm",
     "block_norms",
     "dyadic_sample_norm",
@@ -223,51 +225,91 @@ class Orlicz:
 SpaceSpec = Union[Lorentz, Orlicz]
 
 
+# The root and norm kernels below overflow to inf silently, as Python-float
+# arithmetic does; callers turn a non-finite result into NumericalError.
+@np.errstate(over="ignore")
+def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
+    """Element i solves N(t) = u[i] for t > 0; closed form for power kinds,
+    else bisection.
+
+    The bisection starts at lo = hi = 1, doubles hi while N(hi) < u, halves
+    lo while N(lo) > u, and bisects until hi - lo <= INV_REL_TOL * lo or
+    _MAX_BISECT steps; rows that have finished are masked out, so each row
+    takes the steps a one-element call would.
+    """
+    us = u.tolist()
+    bad = ~(u > 0)
+    if bad.any():
+        raise ValueError(f"positive u required, got {us[int(np.argmax(bad))]}")
+    # Python float pow per element: the array power rounds differently in the last ulp.
+    if isinstance(N, PurePower):
+        return np.array([x ** (1.0 / N.a) for x in us])
+    if isinstance(N, PiecewisePower):
+        return np.array([x ** (1.0 / N.a0) if x <= 1.0 else x ** (1.0 / N.a_inf) for x in us])
+
+    def value(t: np.ndarray) -> np.ndarray:
+        return np.asarray(N.value(t), dtype=float)
+
+    every = np.arange(u.size)
+    lo, hi = np.ones(u.size), np.ones(u.size)
+    # Negated tests as in a scalar loop that breaks on N(hi) >= u: NaN keeps going.
+    rows = every
+    for _ in range(_MAX_BRACKET):
+        rows = rows[~(value(hi[rows]) >= u[rows])]
+        if not rows.size:
+            break
+        hi[rows] *= 2.0
+    stuck_above = np.isin(every, rows)
+    rows = every
+    for _ in range(_MAX_BRACKET):
+        rows = rows[~(value(lo[rows]) <= u[rows])]
+        if not rows.size:
+            break
+        lo[rows] /= 2.0
+    stuck = stuck_above | np.isin(every, rows)
+    if stuck.any():
+        i = int(np.argmax(stuck))
+        side = "above" if stuck_above[i] else "below"
+        raise NumericalError(f"failed to bracket N inverse {side} for u={us[i]}")
+    rows = every
+    for _ in range(_MAX_BISECT):
+        rows = rows[~(hi[rows] - lo[rows] <= INV_REL_TOL * lo[rows])]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        below = value(mid) < u[rows]
+        lo[rows] = np.where(below, mid, lo[rows])
+        hi[rows] = np.where(below, hi[rows], mid)
+    return 0.5 * (lo + hi)
+
+
 def orlicz_inverse(N: FnSpec, u: float) -> float:
     """Solve N(t) = u for t > 0; closed form for power kinds, else bisection."""
-    if not u > 0:
-        raise ValueError(f"positive u required, got {u}")
-    if isinstance(N, PurePower):
-        return u ** (1.0 / N.a)
-    if isinstance(N, PiecewisePower):
-        return u ** (1.0 / N.a0) if u <= 1.0 else u ** (1.0 / N.a_inf)
+    return float(_inverse_rows(N, np.array([u], dtype=float))[0])
 
-    lo = hi = 1.0
-    for _ in range(_MAX_BRACKET):
-        if float(N.value(hi)) >= u:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError(f"failed to bracket N inverse above for u={u}")
-    for _ in range(_MAX_BRACKET):
-        if float(N.value(lo)) <= u:
-            break
-        lo /= 2.0
-    else:
-        raise NumericalError(f"failed to bracket N inverse below for u={u}")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= INV_REL_TOL * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(N.value(mid)) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+def fundamentals(space: SpaceSpec, t) -> np.ndarray:
+    """Element i is the norm of the indicator of a set of measure t[i]."""
+    t = np.array(t, dtype=float, ndmin=1)
+    bad = ~(t > 0)
+    if bad.any():
+        raise ValueError(f"positive t required, got {t.tolist()[int(np.argmax(bad))]}")
+    if isinstance(space, Lorentz):
+        psi_vals = np.asarray(space.psi.value(t), dtype=float).tolist()
+        return np.array([v ** (1.0 / space.q) for v in psi_vals])
+    return 1.0 / _inverse_rows(space.N, 1.0 / t)
 
 
 def fundamental(space: SpaceSpec, t: float) -> float:
     """Norm of the indicator of a set of measure t."""
-    if not t > 0:
-        raise ValueError(f"positive t required, got {t}")
-    if isinstance(space, Lorentz):
-        return float(space.psi.value(t)) ** (1.0 / space.q)
-    return 1.0 / orlicz_inverse(space.N, 1.0 / t)
+    return float(fundamentals(space, [t])[0])
 
 
+@np.errstate(over="ignore")
 def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpec) -> np.ndarray:
-    """Row i: (sum_j v_j**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i the
-    cumulative sums of measures[i]; values shared by all rows."""
+    """Row i: (sum_j v_ij**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i the
+    cumulative sums of measures[i]; values is one row per measure row, or
+    one row shared by all."""
     psi_vals = np.asarray(psi.value(np.cumsum(measures, axis=1)), dtype=float)
     dpsi = psi_vals.copy()  # np.diff(psi_vals, prepend=0.0) per row, at a fraction of its cost
     dpsi[:, 1:] -= psi_vals[:, :-1]
@@ -284,6 +326,7 @@ def lorentz_norm(d: Distribution, q: float, psi: FnSpec) -> float:
     return float(_lorentz_rows(d.values, d.measures[None, :], q, psi)[0])
 
 
+@np.errstate(over="ignore")
 def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
     """Root u of sum_i weights_i * N(values_i / u) = 1 (decreasing in u)."""
     if isinstance(N, PurePower):
@@ -292,8 +335,7 @@ def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float
         return float(np.sum(weights * values**N.a) ** (1.0 / N.a))
 
     def modular(u: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(weights * np.asarray(N.value(values / u), dtype=float)))
+        return float(np.sum(weights * np.asarray(N.value(values / u), dtype=float)))
 
     u0 = float(values.max())
     m0 = modular(u0)
@@ -326,25 +368,27 @@ def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float
     return 0.5 * (lo + hi)
 
 
+@np.errstate(over="ignore")
 def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
-    """Row i: _luxemburg_root(values, weights[i], N), taking the same steps.
+    """Row i: _luxemburg_root(values[i], weights[i], N), taking the same
+    steps; values is one row per weight row, or one row shared by all.
 
-    Every row starts from the same u0 and runs the same doubling or halving
+    Every row starts from its own u0 and runs the same doubling or halving
     bracket and the same bisection with the same stop test; rows that have
     finished are masked out, so they do not move.
     """
     if isinstance(N, PurePower):
         sums = (weights * values**N.a).sum(axis=1)
         return np.array([s ** (1.0 / N.a) for s in sums.tolist()])
+    values = np.broadcast_to(values, weights.shape)
 
     def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            terms = np.asarray(N.value(values / u[:, None]), dtype=float)
-            return (weights[rows] * terms).sum(axis=1)
+        terms = np.asarray(N.value(values[rows] / u[:, None]), dtype=float)
+        return (weights[rows] * terms).sum(axis=1)
 
     every = np.arange(weights.shape[0])
-    u0 = float(values.max())
-    m0 = modular(np.full(every.size, u0), every)
+    u0 = values.max(axis=1)
+    m0 = modular(u0, every)
     up = m0 > 1.0
     lo = np.where(up, u0, 0.5 * u0)
     hi = np.where(up, 2.0 * u0, u0)
@@ -406,6 +450,26 @@ def space_norm(space: SpaceSpec, d: Distribution) -> float:
     if isinstance(space, Lorentz):
         return lorentz_norm(d, space.q, space.psi)
     return luxemburg_norm(d, space.N)
+
+
+def space_norms(space: SpaceSpec, ds: Sequence[Distribution]) -> list[float]:
+    """Element i is space_norm(space, ds[i]), bit for bit: distributions with
+    the same atom count are normed as the rows of one array evaluation."""
+    out = [0.0] * len(ds)
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(ds):
+        if not d.is_zero:
+            groups.setdefault(len(d.atoms), []).append(i)
+    for idx in groups.values():
+        values = np.array([ds[i].values for i in idx])
+        measures = np.array([ds[i].measures for i in idx])
+        if isinstance(space, Lorentz):
+            norms = _lorentz_rows(values, measures, space.q, space.psi)
+        else:
+            norms = _luxemburg_rows(values, measures, space.N)
+        for i, v in zip(idx, norms.tolist()):
+            out[i] = v
+    return out
 
 
 def block_norm(space: SpaceSpec, a: Seq) -> float:

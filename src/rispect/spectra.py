@@ -18,7 +18,7 @@ import numpy as np
 
 from .indices import IndexSet, WeightSeq
 from .shifts import geometric_window, shift_minus, squared_window
-from .spaces import NumericalError, SpaceSpec, block_norm, block_norms
+from .spaces import NumericalError, SpaceSpec, block_norm, block_norms, space_norms
 from .steps import Seq
 
 __all__ = [
@@ -187,17 +187,13 @@ def _image(a: Seq, lam: float) -> Seq:
     return b
 
 
-def _ratio(space: SpaceSpec, lam: float, a: Seq) -> float:
-    return block_norm(space, _image(a, lam)) / block_norm(space, a)
-
-
 def _never_wins(r: np.ndarray) -> np.ndarray:
     """NaN (a norm that overflowed) read as inf: neither is a strict minimum."""
     return np.where(np.isnan(r), np.inf, r)
 
 
 def _ratios(space: SpaceSpec, lam: float, a: Seq, ks: Sequence[int]) -> np.ndarray:
-    """_ratio of shift(a, k) for every k in ks, NaN read as inf."""
+    """||_image(b, lam)|| / ||b|| for b = shift(a, k), every k in ks, NaN read as inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return _never_wins(block_norms(space, _image(a, lam), ks) / block_norms(space, a, ks))
 
@@ -290,6 +286,14 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
     return out
 
 
+def _probe_ratios(space: SpaceSpec, lam: float, probes: Sequence[Seq]) -> list[float]:
+    """||_image(a, lam)|| / ||a|| for every probe a, in probe order."""
+    images = [_image(a, lam) for a in probes]
+    norms = space_norms(space, [a.distribution() for a in probes])
+    image_norms = space_norms(space, [b.distribution() for b in images])
+    return [num / den for num, den in zip(image_norms, norms)]
+
+
 def probe_lower_bound(
     space: SpaceSpec,
     lam: float,
@@ -333,8 +337,7 @@ def probe_lower_bound(
             if r < best:
                 best, best_probe = r, (kind, rate, k, n)
 
-    for i, seq in enumerate(_random_probes(cfg, lam_index)):
-        r = _ratio(space, lam, seq)
+    for i, r in enumerate(_probe_ratios(space, lam, _random_probes(cfg, lam_index))):
         if r < best:
             best, best_probe = r, ("random", i)
 

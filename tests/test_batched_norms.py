@@ -1,6 +1,9 @@
-"""Batched block norms over window starts: bit-identical to one norm per start."""
+"""Batched norms and block weights: bit-identical to one scalar evaluation each."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from rispect import (
     Distribution,
+    FnSpec,
     Lorentz,
     NumericalError,
     Orlicz,
@@ -19,10 +23,15 @@ from rispect import (
     TableFn,
     block_norm,
     block_norms,
+    block_weights,
+    fundamental,
+    fundamentals,
     lorentz_norm,
+    orlicz_inverse,
 )
 from rispect.shifts import geometric_window, shift, shift_minus, squared_window
-from rispect.spaces import _luxemburg_root, _luxemburg_rows
+from rispect.spaces import INV_REL_TOL, _inverse_rows, _luxemburg_root, _luxemburg_rows
+from rispect.spectra import ProbeConfig, _image, _probe_ratios, _random_probes, probe_lower_bound
 
 PSIS = [
     PurePower(0.5),
@@ -131,3 +140,129 @@ def test_block_norms_refuse_blocks_past_1000(space):
 
 def test_block_norms_of_zero_sequence():
     assert block_norms(SPACES[0], Seq(), [0, 3]).tolist() == [0.0, 0.0]
+
+
+# --- block weights: the array fundamental against the scalar loop ----------------------
+
+
+def reference_inverse(N: FnSpec, u: float) -> float:
+    """orlicz_inverse as one scalar bisection per u, the form it had before
+    the array root solve."""
+    if not u > 0:
+        raise ValueError(f"positive u required, got {u}")
+    if isinstance(N, PurePower):
+        return u ** (1.0 / N.a)
+    if isinstance(N, PiecewisePower):
+        return u ** (1.0 / N.a0) if u <= 1.0 else u ** (1.0 / N.a_inf)
+    lo = hi = 1.0
+    for _ in range(1100):
+        if float(N.value(hi)) >= u:
+            break
+        hi *= 2.0
+    else:
+        raise NumericalError(f"failed to bracket N inverse above for u={u}")
+    for _ in range(1100):
+        if float(N.value(lo)) <= u:
+            break
+        lo /= 2.0
+    else:
+        raise NumericalError(f"failed to bracket N inverse below for u={u}")
+    for _ in range(200):
+        if hi - lo <= INV_REL_TOL * lo:
+            break
+        mid = 0.5 * (lo + hi)
+        if float(N.value(mid)) < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_fundamental(space, t: float) -> float:
+    if isinstance(space, Lorentz):
+        return float(space.psi.value(t)) ** (1.0 / space.q)
+    return 1.0 / reference_inverse(space.N, 1.0 / t)
+
+
+@st.composite
+def k_windows(draw) -> tuple[int, int]:
+    """Block windows inside +-1000; past |k| = 400 the Orlicz bisection stops
+    at its 200-step cap before converging."""
+    width = draw(st.integers(1, 16))
+    k_lo = draw(
+        st.one_of(
+            st.integers(-1000, 1000 - width),
+            st.integers(-1000, -400),
+            st.integers(400, 1000 - width),
+            st.sampled_from([-1000, -1 - width // 2, 1000 - width]),
+        )
+    )
+    return k_lo, k_lo + width
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+@settings(max_examples=15, deadline=None)
+@given(window=k_windows())
+def test_block_weights_equal_the_scalar_loop(space, window):
+    k_lo, k_hi = window
+    want = [reference_fundamental(space, math.ldexp(1.0, k)) for k in range(k_lo, k_hi + 1)]
+    assert block_weights(space, k_lo, k_hi).s.tolist() == want
+    assert fundamental(space, math.ldexp(1.0, k_hi)) == want[-1]
+
+
+@dataclass(frozen=True)
+class Between(FnSpec):
+    """2 - 1/(1+t): increasing from 1 to 2, so N(t) = u has no root outside (1, 2)."""
+
+    kind = "between"
+
+    def value(self, t):
+        out = 2.0 - 1.0 / (1.0 + np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("us", [[1.5, 3.0, 0.5], [1.5, 0.5, 3.0], [0.25]])
+def test_inverse_bracket_failure_names_the_first_failing_u(us):
+    with pytest.raises(NumericalError) as want:
+        [reference_inverse(Between(), u) for u in us]
+    with pytest.raises(NumericalError) as got:
+        _inverse_rows(Between(), np.array(us))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NumericalError, match="^failed to bracket N inverse below for u=0.25$"):
+        orlicz_inverse(Between(), 0.25)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_nonpositive_arguments_are_refused(bad):
+    with pytest.raises(ValueError, match="positive u required"):
+        orlicz_inverse(NS[2], bad)
+    for space in (SPACES[0], SPACES[14]):
+        with pytest.raises(ValueError, match="positive t required"):
+            fundamental(space, bad)
+        with pytest.raises(ValueError, match=f"positive t required, got {bad}$"):
+            fundamentals(space, [1.0, bad, -2.0])
+
+
+# --- random probes: batched ratios against one scalar ratio per probe -------------------
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+@pytest.mark.parametrize("lam", [0.5, 1.2, 2.0])
+@pytest.mark.parametrize("seed", [1, 0x5EED])
+def test_random_probe_ratios_equal_scalar_ratios(space, lam, seed):
+    cfg = ProbeConfig(k_lo=-24, k_hi=24, n_values=(), n_random=40, seed=seed)
+    probes = _random_probes(cfg, 0)
+    want = [block_norm(space, _image(a, lam)) / block_norm(space, a) for a in probes]
+    assert _probe_ratios(space, lam, probes) == want
+    # The first strict minimum in probe order wins, after the unit vectors.
+    ks = range(cfg.k_lo, cfg.k_hi + 1)
+    best, best_probe = math.inf, None
+    for k in ks:
+        r = block_norm(space, _image(Seq.unit(k), lam)) / block_norm(space, Seq.unit(k))
+        if r < best:
+            best, best_probe = r, ("unit", k)
+    for i, r in enumerate(want):
+        if r < best:
+            best, best_probe = r, ("random", i)
+    res = probe_lower_bound(space, lam, cfg)
+    assert (res.min_ratio, res.meta["best_probe"]) == (best, best_probe)
