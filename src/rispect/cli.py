@@ -273,8 +273,11 @@ def _write_out(text: str, out: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -505,13 +508,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             text = to_json_text(cmd_report(cfg)) + "\n"
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command}")
+        _write_out(text, args.out)
     except (ConfigError, SpecJSONError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, SeriesDivergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _write_out(text, args.out)
     return 0
 
 

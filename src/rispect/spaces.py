@@ -3,8 +3,8 @@
 Norms are evaluated exactly on finite step functions: the Lorentz functional
 integrates the decreasing profile against the parameter function, and the
 Orlicz (Luxemburg) norm is the root of the modular equation, found by
-bracketing + bisection.  Sequence-space counterparts weight coefficients by
-the dyadic block scale 2**k.
+bracketing + bisection.  Each space has one norm kernel, which norms many
+distributions at once as the rows of an array.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "fundamentals",
     "lorentz_norm",
     "luxemburg_norm",
-    "lorentz_seq_norm",
-    "orlicz_seq_norm",
     "space_norm",
     "space_norms",
     "block_norm",
@@ -327,55 +325,15 @@ def lorentz_norm(d: Distribution, q: float, psi: FnSpec) -> float:
 
 
 @np.errstate(over="ignore")
-def _luxemburg_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
-    """Root u of sum_i weights_i * N(values_i / u) = 1 (decreasing in u)."""
-    if isinstance(N, PurePower):
-        # sum w * (v/u)**a = 1 solves in closed form; keeps pure-power spaces
-        # exact instead of bisection-accurate.
-        return float(np.sum(weights * values**N.a) ** (1.0 / N.a))
-
-    def modular(u: float) -> float:
-        return float(np.sum(weights * np.asarray(N.value(values / u), dtype=float)))
-
-    u0 = float(values.max())
-    m0 = modular(u0)
-    if m0 == 1.0:
-        return u0
-    if m0 > 1.0:
-        lo, hi = u0, 2.0 * u0
-        for _ in range(_MAX_BRACKET):
-            if modular(hi) <= 1.0:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise NumericalError("luxemburg bracketing failed above")
-    else:
-        lo, hi = 0.5 * u0, u0
-        for _ in range(_MAX_BRACKET):
-            if modular(lo) >= 1.0:
-                break
-            lo, hi = 0.5 * lo, lo
-        else:
-            raise NumericalError("luxemburg bracketing failed below")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= LUX_REL_TOL * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        if modular(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@np.errstate(over="ignore")
 def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
-    """Row i: _luxemburg_root(values[i], weights[i], N), taking the same
-    steps; values is one row per weight row, or one row shared by all.
+    """Row i: the root u of sum_j weights_ij * N(values_ij / u) = 1, which
+    decreases in u; values is one row per weight row, or one row shared by all.
 
-    Every row starts from its own u0 and runs the same doubling or halving
-    bracket and the same bisection with the same stop test; rows that have
-    finished are masked out, so they do not move.
+    A pure power solves in closed form.  Otherwise each row starts from
+    u0 = max_j values_ij, doubles or halves until the modular crosses 1, and
+    bisects until hi - lo <= LUX_REL_TOL * lo or _MAX_BISECT steps; rows that
+    have finished are masked out, so each row takes the steps a one-row call
+    would.
     """
     if isinstance(N, PurePower):
         sums = (weights * values**N.a).sum(axis=1)
@@ -398,7 +356,8 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
             break
         r_up = up[rows]
         m = modular(np.where(r_up, hi[rows], lo[rows]), rows)
-        # Negated tests as in _luxemburg_root: a NaN modular keeps a row going.
+        # Negated tests, as in a scalar loop that breaks once the modular
+        # crosses 1: a NaN modular keeps a row going.
         going = np.where(r_up, ~(m <= 1.0), ~(m >= 1.0))
         rows, r_up = rows[going], r_up[going]
         lo_r, hi_r = lo[rows], hi[rows]
@@ -423,51 +382,37 @@ def luxemburg_norm(d: Distribution, N: FnSpec) -> float:
     """inf{u > 0 : sum_i m_i * N(v_i / u) <= 1}."""
     if d.is_zero:
         return 0.0
-    return _luxemburg_root(d.values, d.measures, N)
+    return float(_luxemburg_rows(d.values, d.measures[None, :], N)[0])
 
 
-def lorentz_seq_norm(a: Seq, q: float, psi: FnSpec) -> float:
-    """(sum_k |a_k|**q * psi(2**k))**(1/q)."""
-    if a.is_zero:
-        return 0.0
-    ks = a.support()
-    vals = np.array([abs(a[k]) for k in ks])
-    weights = np.asarray(psi.value(np.array([math.ldexp(1.0, k) for k in ks])), dtype=float)
-    return float(np.sum(vals**q * weights) ** (1.0 / q))
-
-
-def orlicz_seq_norm(a: Seq, N: FnSpec) -> float:
-    """inf{u > 0 : sum_k 2**k * N(|a_k| / u) <= 1}."""
-    if a.is_zero:
-        return 0.0
-    ks = a.support()
-    vals = np.array([abs(a[k]) for k in ks])
-    weights = np.array([math.ldexp(1.0, k) for k in ks])
-    return _luxemburg_root(vals, weights, N)
+def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
+    """Row i is the norm of the distribution (values[i], measures[i]); values
+    is one row per measure row, or one row shared by all."""
+    if isinstance(space, Lorentz):
+        return _lorentz_rows(values, measures, space.q, space.psi)
+    return _luxemburg_rows(values, measures, space.N)
 
 
 def space_norm(space: SpaceSpec, d: Distribution) -> float:
-    if isinstance(space, Lorentz):
-        return lorentz_norm(d, space.q, space.psi)
-    return luxemburg_norm(d, space.N)
+    return space_norms(space, [d])[0]
 
 
-def space_norms(space: SpaceSpec, ds: Sequence[Distribution]) -> list[float]:
-    """Element i is space_norm(space, ds[i]), bit for bit: distributions with
-    the same atom count are normed as the rows of one array evaluation."""
-    out = [0.0] * len(ds)
-    groups: dict[int, list[int]] = {}
+def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
+    """Element i is the norm of the i-th distribution of ds, 0.0 when it is
+    zero.  ds may be any iterable, such as a generator: only each
+    distribution's value and measure arrays are kept, grouped by atom count,
+    and each group is normed as the rows of one array evaluation."""
+    out: list[float] = []
+    groups: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
     for i, d in enumerate(ds):
+        out.append(0.0)
         if not d.is_zero:
-            groups.setdefault(len(d.atoms), []).append(i)
-    for idx in groups.values():
-        values = np.array([ds[i].values for i in idx])
-        measures = np.array([ds[i].measures for i in idx])
-        if isinstance(space, Lorentz):
-            norms = _lorentz_rows(values, measures, space.q, space.psi)
-        else:
-            norms = _luxemburg_rows(values, measures, space.N)
-        for i, v in zip(idx, norms.tolist()):
+            idx, values, measures = groups.setdefault(len(d.atoms), ([], [], []))
+            idx.append(i)
+            values.append(d.values)
+            measures.append(d.measures)
+    for idx, values, measures in groups.values():
+        for i, v in zip(idx, _norm_rows(space, np.array(values), np.array(measures)).tolist()):
             out[i] = v
     return out
 
@@ -493,10 +438,7 @@ def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
     if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
         raise ValueError("shifted block index outside the exact-measure range")
     d = shift(a, -a.k_min).distribution()
-    measures = np.ldexp(1.0, ks + a.k_min)[:, None] * d.measures
-    if isinstance(space, Lorentz):
-        return _lorentz_rows(d.values, measures, space.q, space.psi)
-    return _luxemburg_rows(d.values, measures, space.N)
+    return _norm_rows(space, d.values, np.ldexp(1.0, ks + a.k_min)[:, None] * d.measures)
 
 
 def dyadic_sample_norm(space: SpaceSpec, d: Distribution) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "Seq",
     "PositionedStep",
     "rearrange",
-    "equimeasurable",
     "dyadic_embed",
     "dyadic_average",
     "disjoint_sum",
@@ -127,14 +126,6 @@ def rearrange(d: Distribution) -> list[tuple[float, float, float]]:
         out.append((value, t, t + measure))
         t += measure
     return out
-
-
-def equimeasurable(d1: Distribution, d2: Distribution) -> bool:
-    """True iff the canonical atom lists agree within MERGE_REL_TOL."""
-    a, b = d1.atoms, d2.atoms
-    if len(a) != len(b):
-        return False
-    return all(_close(va, vb) and _close(ma, mb) for (va, ma), (vb, mb) in zip(a, b))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .shifts import geometric_window
-from .spaces import SpaceSpec, space_norm
+from .spaces import SpaceSpec, space_norm, space_norms
 from .steps import Distribution, disjoint_sum
 
 __all__ = [
@@ -108,16 +108,16 @@ def standard_probes(
 def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> float:
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
-    Signs never matter: disjoint copies see only |a_j|.
+    Signs never matter: disjoint copies see only |a_j|.  The disjoint sums of
+    all nonzero probes are normed in one space_norms call.
     """
-    worst = 1.0
     for a in probe_coeffs:
         if len(a) != fam.n_copies:
             raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
-        if not any(v != 0.0 for v in a):
-            continue
-        num = space_norm(fam.space, disjoint_sum(a, fam.base))
-        den = lp_norm(a, fam.theta)
-        ratio = num / den
+    live = [a for a in probe_coeffs if any(v != 0.0 for v in a)]
+    nums = space_norms(fam.space, (disjoint_sum(a, fam.base) for a in live))
+    worst = 1.0
+    for a, num in zip(live, nums):
+        ratio = num / lp_norm(a, fam.theta)
         worst = max(worst, ratio, 1.0 / ratio)
     return worst

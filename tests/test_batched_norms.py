@@ -1,4 +1,8 @@
-"""Batched norms and block weights: bit-identical to one scalar evaluation each."""
+"""Batched norms and block weights: bit-identical to one scalar evaluation each.
+
+The scalar references here (`reference_root`, `reference_inverse`) are the
+loops the array kernels replaced; they stay as the tests' reference.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispect import (
@@ -28,9 +32,11 @@ from rispect import (
     fundamentals,
     lorentz_norm,
     orlicz_inverse,
+    space_norm,
+    space_norms,
 )
 from rispect.shifts import geometric_window, shift, shift_minus, squared_window
-from rispect.spaces import INV_REL_TOL, _inverse_rows, _luxemburg_root, _luxemburg_rows
+from rispect.spaces import INV_REL_TOL, LUX_REL_TOL, _inverse_rows, _luxemburg_rows
 from rispect.spectra import ProbeConfig, _image, _probe_ratios, _random_probes, probe_lower_bound
 
 PSIS = [
@@ -49,6 +55,57 @@ SPACES = [Lorentz(q, psi) for psi in PSIS for q in (1.0, 1.5, 2.0)] + [Orlicz(N)
 SPACE_IDS = [f"lorentz-{s.psi.kind}-q{s.q:g}" for s in SPACES[:12]] + [
     f"orlicz-{s.N.kind}" for s in SPACES[12:]
 ]
+
+
+@np.errstate(over="ignore")
+def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
+    """Root u of sum_i weights_i * N(values_i / u) = 1 (decreasing in u), as
+    one scalar bracket and bisection: the Luxemburg norm before the row kernel."""
+    if isinstance(N, PurePower):
+        return float(np.sum(weights * values**N.a) ** (1.0 / N.a))
+
+    def modular(u: float) -> float:
+        return float(np.sum(weights * np.asarray(N.value(values / u), dtype=float)))
+
+    u0 = float(values.max())
+    m0 = modular(u0)
+    if m0 == 1.0:
+        return u0
+    if m0 > 1.0:
+        lo, hi = u0, 2.0 * u0
+        for _ in range(1100):
+            if modular(hi) <= 1.0:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            raise NumericalError("luxemburg bracketing failed above")
+    else:
+        lo, hi = 0.5 * u0, u0
+        for _ in range(1100):
+            if modular(lo) >= 1.0:
+                break
+            lo, hi = 0.5 * lo, lo
+        else:
+            raise NumericalError("luxemburg bracketing failed below")
+    for _ in range(200):
+        if hi - lo <= LUX_REL_TOL * lo:
+            break
+        mid = 0.5 * (lo + hi)
+        if modular(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_norm(space, d: Distribution) -> float:
+    """The space norm of d by the one-row Lorentz sum or the scalar Luxemburg root."""
+    if d.is_zero:
+        return 0.0
+    if isinstance(space, Lorentz):
+        return lorentz_norm(d, space.q, space.psi)
+    return reference_root(d.values, d.measures, space.N)
+
 
 # Values with repeats, near-repeats inside the merge tolerance and the
 # rounding residue that telescoped window images leave behind.
@@ -88,7 +145,7 @@ def test_block_norms_equal_blockwise_norms(space, data):
     a = data.draw(windows())
     ks = data.draw(starts(a))
     try:
-        want = [block_norm(space, shift(a, k)) for k in ks]
+        want = [reference_norm(space, shift(a, k).distribution()) for k in ks]
     except NumericalError:
         # A root that one start cannot bracket fails the whole batch too.
         with pytest.raises(NumericalError):
@@ -124,7 +181,7 @@ def test_luxemburg_rows_match_scalar_root(N, values, scales, seed):
     rng = np.random.default_rng(seed)
     weights = np.ldexp(rng.uniform(0.5, 1.0, (len(scales), values.size)), np.array(scales)[:, None])
     rows = _luxemburg_rows(values, weights, N)
-    assert rows.tolist() == [_luxemburg_root(values, w, N) for w in weights]
+    assert rows.tolist() == [reference_root(values, w, N) for w in weights]
 
 
 @pytest.mark.parametrize("space", [SPACES[0], SPACES[12]], ids=["lorentz", "orlicz"])
@@ -140,6 +197,35 @@ def test_block_norms_refuse_blocks_past_1000(space):
 
 def test_block_norms_of_zero_sequence():
     assert block_norms(SPACES[0], Seq(), [0, 3]).tolist() == [0.0, 0.0]
+
+
+distributions = st.lists(
+    st.tuples(st.floats(1e-3, 1e3), st.floats(1e-6, 1e6)), max_size=6
+).map(lambda atoms: Distribution(tuple(atoms)))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+@settings(max_examples=25)
+@given(ds=st.lists(distributions, max_size=8))
+@example(
+    ds=[
+        Distribution(((2.0, 1.0), (1.0, 3.0))),
+        Distribution(),
+        Distribution(((0.5, 4.0),)),
+        Distribution(((3.0, 0.25), (1.5, 2.0))),
+        Distribution(((1.0, 1.0), (0.75, 1.0), (0.25, 8.0))),
+        Distribution(),
+    ]
+)
+def test_space_norms_take_any_iterable(space, ds):
+    """A generator gives what a list gives, zero distributions keep 0.0 in
+    their slot, and with mixed atom counts each element equals its one-row
+    norm and the scalar reference."""
+    got = space_norms(space, ds)
+    assert space_norms(space, (d for d in ds)) == got
+    assert all(v == 0.0 for v, d in zip(got, ds) if d.is_zero)
+    assert got == [space_norm(space, d) for d in ds]
+    assert got == [reference_norm(space, d) for d in ds]
 
 
 # --- block weights: the array fundamental against the scalar loop ----------------------
@@ -252,13 +338,20 @@ def test_nonpositive_arguments_are_refused(bad):
 def test_random_probe_ratios_equal_scalar_ratios(space, lam, seed):
     cfg = ProbeConfig(k_lo=-24, k_hi=24, n_values=(), n_random=40, seed=seed)
     probes = _random_probes(cfg, 0)
-    want = [block_norm(space, _image(a, lam)) / block_norm(space, a) for a in probes]
+    want = [
+        reference_norm(space, _image(a, lam).distribution())
+        / reference_norm(space, a.distribution())
+        for a in probes
+    ]
     assert _probe_ratios(space, lam, probes) == want
     # The first strict minimum in probe order wins, after the unit vectors.
     ks = range(cfg.k_lo, cfg.k_hi + 1)
     best, best_probe = math.inf, None
     for k in ks:
-        r = block_norm(space, _image(Seq.unit(k), lam)) / block_norm(space, Seq.unit(k))
+        unit = Seq.unit(k)
+        r = reference_norm(space, _image(unit, lam).distribution()) / reference_norm(
+            space, unit.distribution()
+        )
         if r < best:
             best, best_probe = r, ("unit", k)
     for i, r in enumerate(want):

@@ -340,6 +340,16 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert outpath.read_text() == stdout_text
 
 
+@pytest.mark.parametrize("target", ["missing/idx.json", "."], ids=["missing-parent", "directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, target):
+    cfgpath = write_config(tmp_path)
+    code, out, err = run(capsys, "indices", "--config", cfgpath, "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write output {tmp_path / target}: ")
+    assert len(err.splitlines()) == 1
+
+
 # --- goldens ------------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Norm evaluators: Lorentz sums, Luxemburg roots, sequence lattices, JSON."""
+"""Norm evaluators: Lorentz sums, Luxemburg roots, block norms, JSON."""
 
 from __future__ import annotations
 
@@ -26,14 +26,13 @@ from rispect import (
     fn_to_json,
     fundamental,
     lorentz_norm,
-    lorentz_seq_norm,
     luxemburg_norm,
     orlicz_inverse,
-    orlicz_seq_norm,
     space_from_json,
     space_norm,
     space_to_json,
 )
+from test_batched_norms import reference_root
 
 atom_lists = st.lists(
     st.tuples(
@@ -203,29 +202,7 @@ def test_luxemburg_root_residual(pairs):
     assert modular == pytest.approx(1.0, rel=1e-10)
 
 
-# --- sequence lattices ---------------------------------------------------------
-
-
-def test_lorentz_seq_examples():
-    assert lorentz_seq_norm(Seq({0: 1.0, 1: 1.0}), 1, PurePower(1.0)) == 3.0
-    # unit vectors give psi(2^k)**(1/q)
-    for k in (-3, 0, 5):
-        for q in (1, 2):
-            got = lorentz_seq_norm(Seq.unit(k), q, PurePower(0.5))
-            want = (2.0 ** (k / 2)) ** (1.0 / q)
-            assert got == pytest.approx(want, rel=1e-12)
-    assert lorentz_seq_norm(Seq({-1: 2.0}), 2, PurePower(1.0)) == pytest.approx(
-        math.sqrt(2.0), rel=1e-15
-    )
-
-
-def test_orlicz_seq_examples():
-    for k in (-4, 0, 6):
-        assert orlicz_seq_norm(Seq.unit(k), PurePower(2.0)) == pytest.approx(
-            2.0 ** (k / 2), rel=1e-12
-        )
-    assert orlicz_seq_norm(Seq(), PurePower(2.0)) == 0.0
-    assert orlicz_seq_norm(Seq({0: 3.0}), PurePower(2.0)) == pytest.approx(3.0, rel=1e-15)
+# --- block norms ---------------------------------------------------------------
 
 
 def test_block_norm_examples(l1, orlicz_square):
@@ -243,8 +220,11 @@ def test_block_norm_equals_orlicz_seq_norm(orlicz_piecewise):
         a = Seq({int(k): float(rng.standard_normal()) for k in ks})
         if a.is_zero:
             continue
+        support = a.support()
         lhs = block_norm(orlicz_piecewise, a)
-        rhs = orlicz_seq_norm(a, orlicz_piecewise.N)
+        rhs = reference_root(
+            np.abs([a[k] for k in support]), np.ldexp(1.0, support), orlicz_piecewise.N
+        )
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -256,8 +236,11 @@ def test_block_norm_vs_lorentz_seq_equivalence(quarter):
         a = Seq({int(k): float(rng.standard_normal()) for k in ks})
         if a.is_zero:
             continue
+        support = a.support()
         lhs = block_norm(quarter, a)
-        rhs = lorentz_seq_norm(a, quarter.q, quarter.psi)
+        # (sum_k |a_k|**q * psi(2**k))**(1/q)
+        weights = np.asarray(quarter.psi.value(np.ldexp(1.0, support)), dtype=float)
+        rhs = float(np.sum(np.abs([a[k] for k in support]) ** quarter.q * weights) ** (1.0 / quarter.q))
         assert lhs <= 4.0 * rhs
         assert rhs <= 4.0 * lhs
 

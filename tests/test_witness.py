@@ -11,10 +11,12 @@ from rispect import (
     PurePower,
     space_norm,
     build_witness,
+    disjoint_sum,
     distortion,
     lp_norm,
     standard_probes,
 )
+from test_batched_norms import SPACE_IDS, SPACES, reference_norm
 
 
 def test_lp_norm_basics():
@@ -67,6 +69,38 @@ def test_distortion_rejects_length_mismatch(quarter):
     fam = build_witness(quarter, 2.0**0.5, 4, 8, -60)
     with pytest.raises(ValueError):
         distortion(fam, [[1.0, 0.0]])
+
+
+def reference_distortion(fam, probes) -> float:
+    """distortion as one scalar norm per probe, the form it had before the
+    probes were normed as rows."""
+    worst = 1.0
+    for a in probes:
+        if len(a) != fam.n_copies:
+            raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
+        if not any(v != 0.0 for v in a):
+            continue
+        ratio = reference_norm(fam.space, disjoint_sum(a, fam.base)) / lp_norm(a, fam.theta)
+        worst = max(worst, ratio, 1.0 / ratio)
+    return worst
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+@pytest.mark.parametrize("theta", [0.3, 0.8])
+@pytest.mark.parametrize("window_n", [3, 10])
+def test_distortion_equals_per_probe_norms(space, theta, window_n):
+    """Bit for bit the per-probe loop.  The probes make groups of different
+    atom counts: unit vectors, all-ones and alternating signs merge the
+    copies' atoms, the decay and random probes do not, and an all-zero probe
+    is skipped."""
+    n_copies = 5
+    fam = build_witness(space, 2.0**theta, n_copies, window_n, -(window_n + 40))
+    probes = standard_probes(n_copies, theta, seed=17, n_random=8)
+    probes.insert(n_copies + 1, [0.0] * n_copies)
+    assert len({len(disjoint_sum(a, fam.base).atoms) for a in probes}) >= 3
+    assert distortion(fam, probes) == reference_distortion(fam, probes)
+    with pytest.raises(ValueError):
+        distortion(fam, probes + [[1.0] * (n_copies - 1)])
 
 
 def test_distortion_order_free(quarter):
