@@ -10,147 +10,20 @@ The package has three layers:
   indices with measured or closed-form values (`indices`);
 * spectral assembly, probe experiments (`spectra`), disjoint-copy witness
   families (`witness`), and the `rispect` command line (`cli`).
+
+The package re-exports exactly the names in the `__all__` of each of these
+modules but `cli`.
 """
 
-from .indices import (
-    IndexSet,
-    WeightSeq,
-    analytic_indices,
-    block_weights,
-    estimate_indices,
-    ratio_sup,
-)
-from .shifts import (
-    SeriesDivergenceError,
-    TruncatedSeq,
-    geometric_window,
-    shift,
-    shift_minus,
-    solve_shift_minus,
-    squared_window,
-)
-from .spaces import (
-    FnSpec,
-    Lorentz,
-    NumericalError,
-    Orlicz,
-    PiecewisePower,
-    PowerLog,
-    PurePower,
-    SpaceSpec,
-    SpecJSONError,
-    TableFn,
-    block_norm,
-    block_norms,
-    dyadic_sample_norm,
-    fundamental,
-    fundamentals,
-    fn_from_json,
-    fn_to_json,
-    lorentz_norm,
-    luxemburg_norm,
-    orlicz_inverse,
-    space_from_json,
-    space_norm,
-    space_norms,
-    space_to_json,
-)
-from .spectra import (
-    FunctionalSumTest,
-    LambdaClass,
-    ProbeConfig,
-    ProbeResult,
-    SpectrumReport,
-    ThetaInterval,
-    Verdict,
-    approx_eigenvalue_set,
-    classify_lambda,
-    frep_set,
-    functional_bound_test,
-    kernel_witness_curve,
-    probe_lower_bound,
-    range_identity_check,
-    residual_curve,
-)
-from .steps import (
-    Distribution,
-    PositionedStep,
-    Seq,
-    disjoint_sum,
-    dyadic_average,
-    dyadic_embed,
-    dyadic_sample,
-    rearrange,
-)
-from .witness import WitnessFamily, build_witness, distortion, lp_norm, standard_probes
+from . import indices, shifts, spaces, spectra, steps, witness
+from .indices import *
+from .shifts import *
+from .spaces import *
+from .spectra import *
+from .steps import *
+from .witness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IndexSet",
-    "WeightSeq",
-    "analytic_indices",
-    "block_weights",
-    "estimate_indices",
-    "ratio_sup",
-    "SeriesDivergenceError",
-    "TruncatedSeq",
-    "geometric_window",
-    "shift",
-    "shift_minus",
-    "solve_shift_minus",
-    "squared_window",
-    "FnSpec",
-    "Lorentz",
-    "NumericalError",
-    "Orlicz",
-    "PiecewisePower",
-    "PowerLog",
-    "PurePower",
-    "SpaceSpec",
-    "SpecJSONError",
-    "TableFn",
-    "block_norm",
-    "block_norms",
-    "dyadic_sample_norm",
-    "fundamental",
-    "fundamentals",
-    "fn_from_json",
-    "fn_to_json",
-    "lorentz_norm",
-    "luxemburg_norm",
-    "orlicz_inverse",
-    "space_from_json",
-    "space_norm",
-    "space_norms",
-    "space_to_json",
-    "FunctionalSumTest",
-    "LambdaClass",
-    "ProbeConfig",
-    "ProbeResult",
-    "SpectrumReport",
-    "ThetaInterval",
-    "Verdict",
-    "approx_eigenvalue_set",
-    "classify_lambda",
-    "frep_set",
-    "functional_bound_test",
-    "kernel_witness_curve",
-    "probe_lower_bound",
-    "range_identity_check",
-    "residual_curve",
-    "Distribution",
-    "PositionedStep",
-    "Seq",
-    "disjoint_sum",
-    "dyadic_average",
-    "dyadic_embed",
-    "dyadic_sample",
-    "rearrange",
-    "WitnessFamily",
-    "build_witness",
-    "distortion",
-    "lp_norm",
-    "standard_probes",
-    "__version__",
-]
+__all__ = [n for m in (indices, shifts, spaces, spectra, steps, witness) for n in m.__all__]
+__all__.append("__version__")

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .indices import IndexSet, analytic_indices, block_weights, estimate_indices
@@ -281,24 +281,12 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        "space": space_to_json(cfg.space),
-        "k_radius": cfg.k_radius,
-        "n_max": cfg.n_max,
-        "lambda_grid": list(cfg.lambda_grid),
-        "n_list": list(cfg.n_list),
-        "probe_k_radius": cfg.probe_k_radius,
-        "n_random": cfg.n_random,
-        "seed": cfg.seed,
-    }
-    if cfg.witness is not None:
-        echo["witness"] = {
-            "theta": cfg.witness.theta,
-            "n_copies": cfg.witness.n_copies,
-            "windows": list(cfg.witness.windows),
-            "k": cfg.witness.k,
-            "n_random": cfg.witness.n_random,
-        }
+    """The run configuration, keyed and ordered by the RunConfig and
+    WitnessConfig fields."""
+    echo = asdict(cfg)
+    echo["space"] = space_to_json(cfg.space)
+    if cfg.witness is None:
+        del echo["witness"]
     return echo
 
 

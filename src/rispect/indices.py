@@ -19,8 +19,6 @@ import numpy as np
 from .spaces import Lorentz, Orlicz, PiecewisePower, PurePower, SpaceSpec, fundamentals
 
 __all__ = [
-    "Region",
-    "Direction",
     "WeightSeq",
     "IndexSet",
     "block_weights",

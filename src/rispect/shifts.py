@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .steps import Seq
 
 __all__ = [
-    "Seq",
     "TruncatedSeq",
     "SeriesDivergenceError",
     "shift",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -163,13 +163,21 @@ class TableFn(FnSpec):
 _ROLE_GRID = 2.0 ** np.arange(-60, 61, dtype=float)
 
 
+def _grid_values(fn: FnSpec, role: str) -> np.ndarray:
+    """fn on the dyadic grid, which must be positive, finite and strictly
+    increasing there; an overflow reads as inf and is rejected, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(fn.value(_ROLE_GRID), dtype=float)
+    if not np.all(np.isfinite(v)) or not np.all(v > 0):
+        raise ValueError(f"{role} must be positive and finite on the dyadic grid")
+    if not np.all(v[1:] > v[:-1]):
+        raise ValueError(f"{role} must be strictly increasing")
+    return v
+
+
 def _check_psi_role(fn: FnSpec) -> None:
     """Quasi-concavity on the dyadic grid: v increasing, v(t)/t decreasing."""
-    v = np.asarray(fn.value(_ROLE_GRID), dtype=float)
-    if not np.all(np.isfinite(v)) or not np.all(v > 0):
-        raise ValueError("parameter function must be positive and finite on the dyadic grid")
-    if not np.all(v[1:] > v[:-1]):
-        raise ValueError("parameter function must be strictly increasing")
+    v = _grid_values(fn, "parameter function")
     ratio = v / _ROLE_GRID
     if not np.all(ratio[1:] <= ratio[:-1] * (1 + 1e-9)):
         raise ValueError("parameter function fails quasi-concavity (v(t)/t must not increase)")
@@ -186,11 +194,7 @@ def _check_orlicz_role(fn: FnSpec) -> None:
             raise ValueError(
                 f"orlicz piecewise_power needs a0 <= a_inf, got {fn.a0} > {fn.a_inf}"
             )
-    v = np.asarray(fn.value(_ROLE_GRID), dtype=float)
-    if not np.all(np.isfinite(v)) or not np.all(v > 0):
-        raise ValueError("orlicz function must be positive and finite on the dyadic grid")
-    if not np.all(v[1:] > v[:-1]):
-        raise ValueError("orlicz function must be strictly increasing")
+    v = _grid_values(fn, "orlicz function")
     mids = 0.5 * (_ROLE_GRID[:-1] + _ROLE_GRID[1:])
     vm = np.asarray(fn.value(mids), dtype=float)
     if not np.all(vm <= 0.5 * (v[:-1] + v[1:]) * (1 + 1e-9)):
@@ -223,6 +227,23 @@ class Orlicz:
 SpaceSpec = Union[Lorentz, Orlicz]
 
 
+def _bisect_rows(below, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, tol: float):
+    """Bisect the brackets [lo[i], hi[i]] of the given rows in place until
+    hi - lo <= tol * lo (a NaN test keeps a row going) or _MAX_BISECT steps,
+    and return the midpoints of all rows.  below(mid, rows) is True where the
+    root lies above mid.  Rows that have finished are masked out, so each
+    row takes the steps a one-row call would."""
+    for _ in range(_MAX_BISECT):
+        rows = rows[~(hi[rows] - lo[rows] <= tol * lo[rows])]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        up = below(mid, rows)
+        lo[rows] = np.where(up, mid, lo[rows])
+        hi[rows] = np.where(up, hi[rows], mid)
+    return 0.5 * (lo + hi)
+
+
 # The root and norm kernels below overflow to inf silently, as Python-float
 # arithmetic does; callers turn a non-finite result into NumericalError.
 @np.errstate(over="ignore")
@@ -231,9 +252,7 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
     else bisection.
 
     The bisection starts at lo = hi = 1, doubles hi while N(hi) < u, halves
-    lo while N(lo) > u, and bisects until hi - lo <= INV_REL_TOL * lo or
-    _MAX_BISECT steps; rows that have finished are masked out, so each row
-    takes the steps a one-element call would.
+    lo while N(lo) > u, and bisects with _bisect_rows to INV_REL_TOL.
     """
     us = u.tolist()
     bad = ~(u > 0)
@@ -269,16 +288,7 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
         i = int(np.argmax(stuck))
         side = "above" if stuck_above[i] else "below"
         raise NumericalError(f"failed to bracket N inverse {side} for u={us[i]}")
-    rows = every
-    for _ in range(_MAX_BISECT):
-        rows = rows[~(hi[rows] - lo[rows] <= INV_REL_TOL * lo[rows])]
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        below = value(mid) < u[rows]
-        lo[rows] = np.where(below, mid, lo[rows])
-        hi[rows] = np.where(below, hi[rows], mid)
-    return 0.5 * (lo + hi)
+    return _bisect_rows(lambda t, r: value(t) < u[r], lo, hi, every, INV_REL_TOL)
 
 
 def orlicz_inverse(N: FnSpec, u: float) -> float:
@@ -331,9 +341,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
 
     A pure power solves in closed form.  Otherwise each row starts from
     u0 = max_j values_ij, doubles or halves until the modular crosses 1, and
-    bisects until hi - lo <= LUX_REL_TOL * lo or _MAX_BISECT steps; rows that
-    have finished are masked out, so each row takes the steps a one-row call
-    would.
+    bisects with _bisect_rows to LUX_REL_TOL.
     """
     if isinstance(N, PurePower):
         sums = (weights * values**N.a).sum(axis=1)
@@ -366,16 +374,8 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     if rows.size:
         side = "above" if up[rows[0]] else "below"
         raise NumericalError(f"luxemburg bracketing failed {side}")
-    rows = every[m0 != 1.0]
-    for _ in range(_MAX_BISECT):
-        rows = rows[~(hi[rows] - lo[rows] <= LUX_REL_TOL * lo[rows])]
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        above = modular(mid, rows) >= 1.0
-        lo[rows] = np.where(above, mid, lo[rows])
-        hi[rows] = np.where(above, hi[rows], mid)
-    return np.where(m0 == 1.0, u0, 0.5 * (lo + hi))
+    mids = _bisect_rows(lambda u, r: modular(u, r) >= 1.0, lo, hi, every[m0 != 1.0], LUX_REL_TOL)
+    return np.where(m0 == 1.0, u0, mids)
 
 
 def luxemburg_norm(d: Distribution, N: FnSpec) -> float:
@@ -447,21 +447,22 @@ def dyadic_sample_norm(space: SpaceSpec, d: Distribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON codec.  Field names are fixed by docs/space-spec.schema.json.
+# JSON codec.  Field names are fixed by docs/space-spec.schema.json.  A kind's
+# JSON fields are its dataclass fields, in declaration order: that order is
+# the order fn_from_json reads them, hence which error is reported first (a0
+# before a_inf), and the key order of fn_to_json and of the config echo.
 
-_FN_KINDS = ("pure_power", "piecewise_power", "power_log", "table")
+_FN_KINDS = {cls.kind: cls for cls in (PurePower, PiecewisePower, PowerLog, TableFn)}
 
 
 def fn_to_json(fn: FnSpec) -> dict:
-    if isinstance(fn, PurePower):
-        return {"kind": "pure_power", "a": fn.a}
-    if isinstance(fn, PiecewisePower):
-        return {"kind": "piecewise_power", "a0": fn.a0, "a_inf": fn.a_inf}
-    if isinstance(fn, PowerLog):
-        return {"kind": "power_log", "a": fn.a, "c": fn.c}
-    if isinstance(fn, TableFn):
-        return {"kind": "table", "points": [[t, v] for t, v in fn.points]}
-    raise TypeError(f"unknown function spec {fn!r}")
+    if not isinstance(fn, tuple(_FN_KINDS.values())):
+        raise TypeError(f"unknown function spec {fn!r}")
+    out = {"kind": fn.kind}
+    for f in fields(fn):
+        v = getattr(fn, f.name)
+        out[f.name] = [list(pair) for pair in v] if f.name == "points" else v
+    return out
 
 
 def _require(obj: dict, field_name: str, path: str):
@@ -476,43 +477,32 @@ def _number(x, path: str) -> float:
     return float(x)
 
 
+def _points(raw, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(raw, list):
+        raise SpecJSONError(f"field {path} must be a list")
+    pts = []
+    for i, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SpecJSONError(f"field {path}[{i}] must be a [t, value] pair")
+        pts.append((_number(pair[0], f"{path}[{i}][0]"), _number(pair[1], f"{path}[{i}][1]")))
+    return tuple(pts)
+
+
 def fn_from_json(obj, path: str = "fn") -> FnSpec:
     if not isinstance(obj, dict):
         raise SpecJSONError(f"field {path} must be an object")
     kind = _require(obj, "kind", path)
+    if not (isinstance(kind, str) and kind in _FN_KINDS):
+        raise SpecJSONError(f"field {path}.kind must be one of {tuple(_FN_KINDS)}, got {kind!r}")
+    cls = _FN_KINDS[kind]
+    args = []
+    for f in fields(cls):
+        raw, sub = _require(obj, f.name, path), f"{path}.{f.name}"
+        args.append(_points(raw, sub) if f.name == "points" else _number(raw, sub))
     try:
-        if kind == "pure_power":
-            return PurePower(_number(_require(obj, "a", path), f"{path}.a"))
-        if kind == "piecewise_power":
-            return PiecewisePower(
-                _number(_require(obj, "a0", path), f"{path}.a0"),
-                _number(_require(obj, "a_inf", path), f"{path}.a_inf"),
-            )
-        if kind == "power_log":
-            return PowerLog(
-                _number(_require(obj, "a", path), f"{path}.a"),
-                _number(_require(obj, "c", path), f"{path}.c"),
-            )
-        if kind == "table":
-            raw = _require(obj, "points", path)
-            if not isinstance(raw, list):
-                raise SpecJSONError(f"field {path}.points must be a list")
-            pts = []
-            for i, pair in enumerate(raw):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise SpecJSONError(f"field {path}.points[{i}] must be a [t, value] pair")
-                pts.append(
-                    (
-                        _number(pair[0], f"{path}.points[{i}][0]"),
-                        _number(pair[1], f"{path}.points[{i}][1]"),
-                    )
-                )
-            return TableFn(tuple(pts))
+        return cls(*args)
     except ValueError as exc:
-        if isinstance(exc, SpecJSONError):
-            raise
         raise SpecJSONError(f"invalid {path}: {exc}") from exc
-    raise SpecJSONError(f"field {path}.kind must be one of {_FN_KINDS}, got {kind!r}")
 
 
 def space_to_json(space: SpaceSpec) -> dict:

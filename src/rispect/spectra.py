@@ -287,10 +287,13 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
 
 
 def _probe_ratios(space: SpaceSpec, lam: float, probes: Sequence[Seq]) -> list[float]:
-    """||_image(a, lam)|| / ||a|| for every probe a, in probe order."""
+    """||_image(a, lam)|| / ||a|| for every probe a, in probe order.  The
+    probes and their images are nonzero, so a zero norm is an underflow."""
     images = [_image(a, lam) for a in probes]
     norms = space_norms(space, [a.distribution() for a in probes])
     image_norms = space_norms(space, [b.distribution() for b in images])
+    if 0.0 in norms or 0.0 in image_norms:
+        raise NumericalError(f"a random probe or image norm underflows to 0 at lam={lam}")
     return [num / den for num, den in zip(image_norms, norms)]
 
 

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "MERGE_REL_TOL",
     "Distribution",
     "Seq",
     "PositionedStep",
@@ -29,7 +28,6 @@ __all__ = [
     "dyadic_average",
     "disjoint_sum",
     "dyadic_sample",
-    "floor_log2",
 ]
 
 # Relative tolerance for treating two level values as equal when merging.

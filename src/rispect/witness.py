@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .shifts import geometric_window
-from .spaces import SpaceSpec, space_norm, space_norms
+from .spaces import NumericalError, SpaceSpec, space_norm, space_norms
 from .steps import Distribution, disjoint_sum
 
 __all__ = [
@@ -63,6 +63,8 @@ def build_witness(
         raise ValueError(f"lam={lam} outside [1, 2] (theta must lie in [0, 1])")
     raw = geometric_window(lam, k, window_n).distribution()
     nrm = space_norm(space, raw)
+    if nrm == 0.0:
+        raise NumericalError("witness window norm underflows to 0")
     base = raw.scale(1.0 / nrm)
     return WitnessFamily(
         space,
@@ -109,13 +111,16 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
     Signs never matter: disjoint copies see only |a_j|.  The disjoint sums of
-    all nonzero probes are normed in one space_norms call.
+    all nonzero probes are normed in one space_norms call; as they are
+    nonzero, a zero norm is an underflow.
     """
     for a in probe_coeffs:
         if len(a) != fam.n_copies:
             raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
     live = [a for a in probe_coeffs if any(v != 0.0 for v in a)]
     nums = space_norms(fam.space, (disjoint_sum(a, fam.base) for a in live))
+    if 0.0 in nums:
+        raise NumericalError("witness sum norm underflows to 0")
     worst = 1.0
     for a, num in zip(live, nums):
         ratio = num / lp_norm(a, fam.theta)

@@ -112,6 +112,9 @@ def test_witness_p_below_one(capsys, tmp_path):
         {"n_list": []},
         {"n_list": [100000]},
         {"n_random": -1},
+        # Orlicz functions whose grid values overflow, rejected with no numpy warning.
+        {"space": {"type": "orlicz", "N": {"kind": "pure_power", "a": 300}}},
+        {"space": {"type": "orlicz", "N": {"kind": "power_log", "a": 1.5, "c": 400}}},
     ],
     ids=[
         "witness-lam-0",
@@ -126,12 +129,15 @@ def test_witness_p_below_one(capsys, tmp_path):
         "n_list-empty",
         "n_list-past-block-range",
         "n_random-negative",
+        "orlicz-pure_power-300",
+        "orlicz-power_log-1.5-400",
     ],
 )
 def test_bad_config_is_config_error(capsys, tmp_path, overrides):
     code, _, err = run(capsys, "indices", "--config", write_config(tmp_path, **overrides))
     assert code == 2
-    assert any(line.startswith("config error:") for line in err.splitlines())
+    [line] = err.splitlines()
+    assert line.startswith("config error:")
 
 
 def test_n_list_block_range_bound_is_exact(capsys, tmp_path):
@@ -413,7 +419,13 @@ def test_seed_must_fit_64_bits(capsys, tmp_path):
 
 # --- exit-code contract -------------------------------------------------------------
 
-FUZZ_SPACES = [QUARTER, {"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}}]
+# Lorentz q = 1000: coefficients below about 0.475 have v**q = 0, so the
+# norms of small sequences underflow to 0.
+FUZZ_SPACES = [
+    QUARTER,
+    {"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}},
+    {"type": "lorentz", "q": 1000, "psi": {"kind": "pure_power", "a": 0.5}},
+]
 
 
 @pytest.mark.parametrize(
@@ -486,7 +498,7 @@ def test_probe_random_probes_fit_a_short_k_range(capsys, tmp_path):
 # Warnings are errors here: an overflow warning must not reach stderr ahead
 # of the failure line.
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("space", FUZZ_SPACES, ids=["lorentz", "orlicz"])
+@pytest.mark.parametrize("space", FUZZ_SPACES, ids=["lorentz", "orlicz", "lorentz-q1000"])
 @pytest.mark.parametrize("lam", [1e300, 1e308, 1e-300])
 @pytest.mark.parametrize("command", ["probe", "residuals"])
 def test_extreme_rate_is_numerical_failure(command, lam, space, capsys, tmp_path):
@@ -503,3 +515,30 @@ def test_witness_small_theta(capsys, tmp_path):
     code, out, _ = run(capsys, "witness", "--config", write_config(tmp_path, witness=witness))
     assert code == 0
     assert json.loads(out)["results"][0]["distortion"] >= 1.0
+
+
+# A zero norm of a nonzero probe, image or witness sum is an underflow.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command,q,overrides",
+    [
+        ("probe", 360, {"n_random": 200, "seed": 0x5EED}),
+        ("witness", 1000, {"witness": {"theta": 0.5, "n_copies": 4, "windows": [4]}}),
+        ("report", 1000, {"witness": {"theta": 0.5, "n_copies": 4, "windows": [4]}}),
+    ],
+    ids=["probe-q360", "witness-q1000", "report-q1000"],
+)
+def test_norm_underflow_is_numerical_failure(command, q, overrides, capsys, tmp_path):
+    cfgpath = write_config(
+        tmp_path,
+        space={"type": "lorentz", "q": q, "psi": {"kind": "pure_power", "a": 0.5}},
+        probe_k_radius=8,
+        n_list=[4],
+        lambda_grid=[1.3],
+        **overrides,
+    )
+    code, out, err = run(capsys, command, "--config", cfgpath)
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("numerical failure:")

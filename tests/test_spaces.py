@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from rispect import (
     space_norm,
     space_to_json,
 )
+from rispect.spaces import _FN_KINDS
 from test_batched_norms import reference_root
 
 atom_lists = st.lists(
@@ -336,6 +340,36 @@ def test_fn_json_roundtrip():
     ]
     for fn in fns:
         assert fn_from_json(fn_to_json(fn)) == fn
+
+
+def test_fn_json_keys_follow_schema_and_dataclass_fields():
+    """docs/space-spec.schema.json names the kinds of _FN_KINDS, each
+    requiring "kind" plus its class's dataclass fields, and fn_to_json
+    writes exactly those keys."""
+    schema_path = Path(__file__).parent.parent / "docs" / "space-spec.schema.json"
+    kinds = json.loads(schema_path.read_text())["$defs"]["fn"]["oneOf"]
+    required = {kind["properties"]["kind"]["const"]: kind["required"] for kind in kinds}
+    assert set(required) == set(_FN_KINDS)
+    samples = [
+        PurePower(0.5),
+        PiecewisePower(0.25, 0.75),
+        PowerLog(0.5, -1.0),
+        TableFn(((1.0, 1.0), (2.0, 4.0))),
+    ]
+    assert {fn.kind for fn in samples} == set(_FN_KINDS)
+    for fn in samples:
+        keys = ["kind", *(f.name for f in fields(_FN_KINDS[fn.kind]))]
+        assert required[fn.kind] == keys
+        assert list(fn_to_json(fn)) == keys
+
+
+def test_fn_json_reads_fields_in_declaration_order():
+    with pytest.raises(SpecJSONError, match=r"^missing field fn\.a0$"):
+        fn_from_json({"kind": "piecewise_power"})
+    with pytest.raises(SpecJSONError, match=r"^field fn\.a must be a number, got 'x'$"):
+        fn_from_json({"kind": "power_log", "a": "x", "c": "y"})
+    with pytest.raises(SpecJSONError, match=r"^field fn\.kind must be one of \('pure_power', "):
+        fn_from_json({"kind": ["pure_power"]})
 
 
 def test_space_json_canonical_shape():
