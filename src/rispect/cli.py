@@ -19,7 +19,14 @@ from typing import Optional
 
 from .indices import IndexSet, analytic_indices, block_weights, estimate_indices
 from .shifts import SeriesDivergenceError
-from .spaces import NumericalError, SpaceSpec, SpecJSONError, space_from_json, space_to_json
+from .spaces import (
+    NumericalError,
+    SpaceSpec,
+    SpecJSONError,
+    _number,
+    space_from_json,
+    space_to_json,
+)
 from .spectra import (
     ProbeConfig,
     ProbeResult,
@@ -99,22 +106,16 @@ def _opt_int(obj: dict, name: str, default: int) -> int:
 
 
 def _opt_number(obj: dict, name: str, default: float) -> float:
-    v = obj.get(name, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field {name} must be a number, got {v!r}")
-    return float(v)
+    return _number(obj.get(name, default), name)
 
 
 def _number_list(obj: dict, name: str, default: tuple) -> tuple:
     v = obj.get(name, list(default))
     if not isinstance(v, list):
         raise ConfigError(f"field {name} must be a list of numbers, got {v!r}")
-    out = []
     for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"field {name}[{i}] must be a number, got {x!r}")
-        out.append(x)
-    return tuple(out)
+        _number(x, f"{name}[{i}]")
+    return tuple(v)
 
 
 def _int_list(obj: dict, name: str, default: tuple) -> tuple[int, ...]:
@@ -180,7 +181,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -453,6 +454,28 @@ def cmd_report(cfg: RunConfig) -> dict:
     return report
 
 
+def _json_line(report: dict) -> str:
+    return to_json_text(report) + "\n"
+
+
+# name -> (help, handler returning the output text).  Each handler looks its
+# cmd_* function up when it runs, so that a rebound module attribute is used.
+_COMMANDS = {
+    "indices": ("estimate the six dilation indices", lambda cfg: _json_line(cmd_indices(cfg))),
+    "spectrum": (
+        "assemble eigenvalue/frep intervals and classify lambdas",
+        lambda cfg: _json_line(cmd_spectrum(cfg)),
+    ),
+    "probe": ("CSV of probe lower bounds and window residuals", lambda cfg: cmd_probe(cfg)),
+    "residuals": ("CSV of window residual curves", lambda cfg: cmd_residuals(cfg)),
+    "witness": (
+        "distortion of disjoint-copy witness families",
+        lambda cfg: _json_line(cmd_witness(cfg)),
+    ),
+    "report": ("combined JSON report", lambda cfg: _json_line(cmd_report(cfg))),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rispect",
@@ -460,14 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "rearrangement-invariant spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("indices", "estimate the six dilation indices"),
-        ("spectrum", "assemble eigenvalue/frep intervals and classify lambdas"),
-        ("probe", "CSV of probe lower bounds and window residuals"),
-        ("residuals", "CSV of window residual curves"),
-        ("witness", "distortion of disjoint-copy witness families"),
-        ("report", "combined JSON report"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--nmax", type=int, default=None, help="override n_max")
@@ -482,20 +498,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        if args.command == "indices":
-            text = to_json_text(cmd_indices(cfg)) + "\n"
-        elif args.command == "spectrum":
-            text = to_json_text(cmd_spectrum(cfg)) + "\n"
-        elif args.command == "probe":
-            text = cmd_probe(cfg)
-        elif args.command == "residuals":
-            text = cmd_residuals(cfg)
-        elif args.command == "witness":
-            text = to_json_text(cmd_witness(cfg)) + "\n"
-        elif args.command == "report":
-            text = to_json_text(cmd_report(cfg)) + "\n"
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command}")
+        text = _COMMANDS[args.command][1](cfg)
         _write_out(text, args.out)
     except (ConfigError, SpecJSONError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -400,19 +400,25 @@ def space_norm(space: SpaceSpec, d: Distribution) -> float:
 def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     """Element i is the norm of the i-th distribution of ds, 0.0 when it is
     zero.  ds may be any iterable, such as a generator: only each
-    distribution's value and measure arrays are kept, grouped by atom count,
-    and each group is normed as the rows of one array evaluation."""
+    distribution's value and measure arrays are kept."""
+    return _grouped_norms(space, ((d.values, d.measures) for d in ds))
+
+
+def _grouped_norms(space: SpaceSpec, rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """Element i is the norm of the i-th (values, measures) pair of canonical
+    atoms, 0.0 when it has none.  Pairs are grouped by atom count and each
+    group is normed as the rows of one array evaluation."""
     out: list[float] = []
     groups: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
-    for i, d in enumerate(ds):
+    for i, (values, measures) in enumerate(rows):
         out.append(0.0)
-        if not d.is_zero:
-            idx, values, measures = groups.setdefault(len(d.atoms), ([], [], []))
+        if values.size:
+            idx, vs, ms = groups.setdefault(values.size, ([], [], []))
             idx.append(i)
-            values.append(d.values)
-            measures.append(d.measures)
-    for idx, values, measures in groups.values():
-        for i, v in zip(idx, _norm_rows(space, np.array(values), np.array(measures)).tolist()):
+            vs.append(values)
+            ms.append(measures)
+    for idx, vs, ms in groups.values():
+        for i, v in zip(idx, _norm_rows(space, np.array(vs), np.array(ms)).tolist()):
             out[i] = v
     return out
 
@@ -472,9 +478,14 @@ def _require(obj: dict, field_name: str, path: str):
 
 
 def _number(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SpecJSONError(f"field {path} must be a number, got {x!r}")
-    return float(x)
+    """x as a float; a bool, a non-number or an integer past the float range
+    is a SpecJSONError."""
+    if not isinstance(x, bool) and isinstance(x, (int, float)):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise SpecJSONError(f"field {path} must be a number, got {x!r}")
 
 
 def _points(raw, path: str) -> tuple[tuple[float, float], ...]:

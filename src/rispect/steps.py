@@ -279,6 +279,93 @@ def disjoint_sum(coeffs: Sequence[float], d: Distribution) -> Distribution:
     return Distribution(tuple(atoms))
 
 
+# Elements (rows x copies x base atoms) of the disjoint sums built at once.
+_CHUNK_ELEMS = 4096
+
+
+def _disjoint_sum_chunks(
+    coeffs: np.ndarray, d: Distribution
+) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """Row i of coeffs (rows x copies) as the (values, measures) arrays of
+    disjoint_sum(coeffs[i], d), bit for bit, yielded in chunks of rows of at
+    most about _CHUNK_ELEMS products.
+
+    Every product is checked before the first chunk, so a non-finite one
+    raises disjoint_sum's ValueError before any chunk is used.
+    """
+    n_rows, n_copies = coeffs.shape
+    values, measures = d.values, np.tile(d.measures, n_copies)
+    # The largest product of a row is its largest |a_j| times the largest value.
+    top = np.maximum(coeffs.max(axis=1, initial=0.0), -coeffs.min(axis=1, initial=0.0))
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(top * d.max_value())
+        if bad.any():
+            row = (np.abs(coeffs[int(np.argmax(bad))])[:, None] * values).ravel()
+            j = int(np.argmax(~np.isfinite(row)))
+            raise ValueError(f"non-finite atom ({float(row[j])}, {float(measures[j])})")
+    width = measures.size
+    step = max(1, _CHUNK_ELEMS // width)
+    for start in range(0, n_rows, step):
+        # No name binds the products: they are freed before the chunk is used.
+        yield _canonical_rows(
+            (np.abs(coeffs[start : start + step])[:, :, None] * values).reshape(-1, width), measures
+        )
+
+
+def _canonical_rows(
+    values: np.ndarray, measures: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row i is the (values, measures) arrays of _canonical_atoms(zip(values[i],
+    measures)), bit for bit, for finite non-negative values and positive
+    measures.
+
+    Each row is sorted (stable, descending, zeros last) and a value starts a
+    group where it is not close to its left neighbour.  The merge rule
+    compares a value with its group's first value, not its neighbour, so
+    each row is verified against that rule; a row that fails it is merged by
+    _canonical_atoms.  Group measures are summed left to right, as
+    _canonical_atoms sums them.
+    """
+    width = measures.size
+    order = np.argsort(-values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1).ravel()
+    m = measures[order].ravel()
+    live = v > 0.0
+    head = live.copy()
+    head[1:] &= v[:-1] - v[1:] > MERGE_REL_TOL * v[:-1]
+    head[::width] = live[::width]
+    # Group g holds the live positions from heads[g] up to the next head.
+    heads = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    head_v = v[heads]
+    # Each follower must be close to its group's head ...
+    follow = np.flatnonzero(live & ~head)
+    lead = head_v[group[follow]]
+    strays = follow[~(lead - v[follow] <= MERGE_REL_TOL * lead)]
+    # ... and each later head of a row not close to the head before it.
+    head_row = heads // width
+    later = np.flatnonzero(head_row[1:] == head_row[:-1]) + 1
+    prev = head_v[later - 1]
+    merges = later[~(prev - head_v[later] > MERGE_REL_TOL * prev)]
+    failed = np.zeros(values.shape[0], dtype=bool)
+    failed[strays // width] = True
+    failed[head_row[merges]] = True
+    sizes = np.bincount(group[live], minlength=heads.size)
+    sums = m[heads]
+    for rank in range(1, int(sizes.max(initial=1))):
+        more = sizes > rank
+        sums[more] += m[heads[more] + rank]
+    bounds = np.searchsorted(heads, np.arange(values.shape[0] + 1) * width)
+    rows = []
+    for i in range(values.shape[0]):
+        if failed[i]:
+            ref = Distribution(tuple(zip(values[i].tolist(), measures.tolist())))
+            rows.append((ref.values, ref.measures))
+        else:
+            rows.append((head_v[bounds[i] : bounds[i + 1]], sums[bounds[i] : bounds[i + 1]]))
+    return rows
+
+
 def dyadic_sample(d: Distribution) -> Distribution:
     """Distribution of sum_k x*(2**k) * chi_{[2**k, 2**(k+1))}.
 

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .shifts import geometric_window
-from .spaces import NumericalError, SpaceSpec, space_norm, space_norms
-from .steps import Distribution, disjoint_sum
+from .spaces import NumericalError, SpaceSpec, _grouped_norms, space_norm
+from .steps import Distribution, _disjoint_sum_chunks
 
 __all__ = [
     "WitnessFamily",
@@ -111,14 +111,18 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
     Signs never matter: disjoint copies see only |a_j|.  The disjoint sums of
-    all nonzero probes are normed in one space_norms call; as they are
-    nonzero, a zero norm is an underflow.
+    the nonzero probes are built as array rows a chunk at a time, each
+    bit-identical to disjoint_sum, and each chunk is normed through the row
+    kernels; as the sums are nonzero, a zero norm is an underflow.
     """
     for a in probe_coeffs:
         if len(a) != fam.n_copies:
             raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
     live = [a for a in probe_coeffs if any(v != 0.0 for v in a)]
-    nums = space_norms(fam.space, (disjoint_sum(a, fam.base) for a in live))
+    coeffs = np.array(live, dtype=float).reshape(len(live), fam.n_copies)
+    nums: list[float] = []
+    for rows in _disjoint_sum_chunks(coeffs, fam.base):
+        nums += _grouped_norms(fam.space, rows)
     if 0.0 in nums:
         raise NumericalError("witness sum norm underflows to 0")
     worst = 1.0

@@ -115,6 +115,10 @@ def test_witness_p_below_one(capsys, tmp_path):
         # Orlicz functions whose grid values overflow, rejected with no numpy warning.
         {"space": {"type": "orlicz", "N": {"kind": "pure_power", "a": 300}}},
         {"space": {"type": "orlicz", "N": {"kind": "power_log", "a": 1.5, "c": 400}}},
+        # JSON integers too large for a float.
+        {"space": {"type": "lorentz", "q": 1, "psi": {"kind": "pure_power", "a": 10**400}}},
+        {"lambda_grid": [1.5, 10**400]},
+        {"witness": {"theta": 10**400}},
     ],
     ids=[
         "witness-lam-0",
@@ -131,10 +135,23 @@ def test_witness_p_below_one(capsys, tmp_path):
         "n_random-negative",
         "orlicz-pure_power-300",
         "orlicz-power_log-1.5-400",
+        "psi-exponent-past-float-range",
+        "lambda_grid-entry-past-float-range",
+        "witness-theta-past-float-range",
     ],
 )
 def test_bad_config_is_config_error(capsys, tmp_path, overrides):
     code, _, err = run(capsys, "indices", "--config", write_config(tmp_path, **overrides))
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("config error:")
+
+
+def test_integer_past_digit_limit_is_config_error(capsys, tmp_path):
+    """An integer literal too long for Python's int parser is invalid JSON."""
+    path = tmp_path / "long.json"
+    path.write_text('{"space": {"type": "lorentz", "q": 1' + "0" * 5000 + "}}")
+    code, _, err = run(capsys, "indices", "--config", str(path))
     assert code == 2
     [line] = err.splitlines()
     assert line.startswith("config error:")

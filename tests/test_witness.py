@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rispect import (
+    Distribution,
     Lorentz,
+    NumericalError,
     PurePower,
     space_norm,
     build_witness,
@@ -16,6 +23,8 @@ from rispect import (
     lp_norm,
     standard_probes,
 )
+from rispect.spaces import _grouped_norms
+from rispect.steps import MERGE_REL_TOL, _CHUNK_ELEMS, _disjoint_sum_chunks
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
 
 
@@ -140,3 +149,163 @@ def test_standard_probes_contain_canonical_directions():
     assert [1.0, 0.0, 0.0] in probes
     assert [1.0, 1.0, 1.0] in probes
     assert [1.0, -1.0, 1.0] in probes
+
+
+# --- the row path: disjoint sums built as array rows -------------------------------
+
+# A chain whose neighbours are close but whose ends are not: 1.5, then two
+# values 0.6 * MERGE_REL_TOL apart in turn.  Merging by neighbours would
+# make one group; the merge rule compares with the group's first value.
+CHAIN = [1.5 * (1.0 - k * 0.6 * MERGE_REL_TOL) for k in range(4)]
+# A chain inside one group: every value is close to the first.
+TIGHT = [1.5 * (1.0 - k * 0.3 * MERGE_REL_TOL) for k in range(3)]
+
+base_value = st.one_of(
+    st.integers(-20, 20).map(lambda k: 2.0**k),
+    st.floats(1e-3, 1e3),
+    st.sampled_from(CHAIN + TIGHT),
+)
+coefficient = st.one_of(
+    st.just(0.0),
+    st.integers(-10, 10).map(lambda k: 2.0**k),
+    st.integers(-10, 10).map(lambda k: -(2.0**k)),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    # Products with a base value below about 5e-24 underflow to 0.
+    st.sampled_from([1e-300, -1e-300, 5e-324] + CHAIN),
+)
+
+
+@st.composite
+def bases(draw) -> Distribution:
+    """Base profiles: free values (powers of two tie exactly), near-tie
+    chains, or a geometric window r**k; measures of any size, so that the
+    order in which a group's measures are summed shows in the last bits."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        values = draw(st.lists(base_value, min_size=n, max_size=n))
+    else:
+        r = draw(st.sampled_from([0.5, 2.0**-0.25, 2.0**-0.7]))
+        values = [r**k for k in range(n)]
+    measures = draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n))
+    return Distribution(tuple(zip(values, measures)))
+
+
+@st.composite
+def probe_rows(draw, n_copies: int) -> list[list[float]]:
+    """Probes of free entries (zeros, repeated |a_j|, sign flips), all-ones
+    with random signs, and geometric decays, whose products with a geometric
+    base coincide along diagonals up to rounding."""
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["free", "ones", "decay"]))
+        if kind == "free":
+            rows.append(draw(st.lists(coefficient, min_size=n_copies, max_size=n_copies)))
+        elif kind == "ones":
+            signs = draw(st.lists(st.booleans(), min_size=n_copies, max_size=n_copies))
+            rows.append([-1.0 if s else 1.0 for s in signs])
+        else:
+            r = draw(st.sampled_from([0.5, 2.0**-0.25, 2.0**-0.7]))
+            rows.append([r**j for j in range(n_copies)])
+    return rows
+
+
+def row_path(coeffs, base: Distribution) -> list[tuple[np.ndarray, np.ndarray]]:
+    arr = np.array(coeffs, dtype=float)
+    return [row for rows in _disjoint_sum_chunks(arr, base) for row in rows]
+
+
+def row_norms(space, coeffs, base: Distribution) -> list[float]:
+    arr = np.array(coeffs, dtype=float)
+    return [n for rows in _disjoint_sum_chunks(arr, base) for n in _grouped_norms(space, rows)]
+
+
+@st.composite
+def families(draw) -> tuple[list[list[float]], Distribution]:
+    n_copies = draw(st.integers(1, 24))
+    base = draw(bases())
+    return draw(probe_rows(n_copies)), base
+
+
+@settings(max_examples=150)
+@given(family=families())
+@example(family=([CHAIN[:1] * 3, [1.0, -1.0, 1.0]], Distribution(tuple((v, 0.1) for v in CHAIN))))
+def test_row_path_atoms_equal_disjoint_sum(family):
+    """Each row's values and measures are disjoint_sum's, bit for bit."""
+    coeffs, base = family
+    got = row_path(coeffs, base)
+    assert len(got) == len(coeffs)
+    for (values, measures), a in zip(got, coeffs):
+        ref = disjoint_sum(a, base)
+        assert values.tolist() == ref.values.tolist()
+        assert measures.tolist() == ref.measures.tolist()
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+@settings(max_examples=20)
+@given(family=families())
+def test_row_norms_equal_disjoint_sum_norms(space, family):
+    coeffs, base = family
+    try:
+        want = [space_norm(space, disjoint_sum(a, base)) for a in coeffs]
+    except (NumericalError, RuntimeWarning) as exc:
+        # The row kernels fail on the rows the reference fails on; a
+        # Luxemburg root of subnormal values divides by zero in both.
+        with pytest.raises(type(exc)):
+            row_norms(space, coeffs, base)
+        return
+    assert row_norms(space, coeffs, base) == want
+
+
+def test_row_path_falls_back_on_neighbour_chains():
+    """The chain merges pairwise but not from its first value; the tight
+    chain is one group.  Both must come out as _canonical_atoms makes them."""
+    base = Distribution(((1.0, 0.1), (2.0**-40, 0.3)))
+    coeffs = [CHAIN, TIGHT + [0.0], [CHAIN[0], CHAIN[2], CHAIN[1], CHAIN[3]]]
+    got = row_path(coeffs, base)
+    for (values, measures), a in zip(got, coeffs):
+        ref = disjoint_sum(a, base)
+        assert values.tolist() == ref.values.tolist()
+        assert measures.tolist() == ref.measures.tolist()
+    assert len(got[0][0]) == 4  # two groups per base value
+    assert len(got[1][0]) == 2  # one group per base value
+
+
+def test_row_path_spans_chunks(quarter):
+    """A family of many rows is split into chunks; rows keep their order."""
+    fam = build_witness(quarter, 2.0**0.5, 17, 32, -72)
+    probes = standard_probes(17, fam.theta, seed=3, n_random=60)
+    width = 17 * len(fam.base.atoms)
+    chunks = list(_disjoint_sum_chunks(np.array(probes), fam.base))
+    assert len(chunks) == -(-len(probes) // max(1, _CHUNK_ELEMS // width)) > 1
+    assert row_norms(quarter, probes, fam.base) == [
+        space_norm(quarter, disjoint_sum(a, fam.base)) for a in probes
+    ]
+
+
+@pytest.mark.parametrize("bad", [1.7e308, math.inf, math.nan])
+def test_row_path_rejects_non_finite_products_as_disjoint_sum(quarter, bad):
+    """The same ValueError as disjoint_sum, also when the offending probe
+    sits in a later chunk than probes that norm fine."""
+    fam = build_witness(quarter, 2.0**0.5, 17, 32, -72)
+    probe = [1.0] * 16 + [bad]
+    with pytest.raises(ValueError) as ref:
+        disjoint_sum(probe, fam.base)
+    probes = standard_probes(17, fam.theta, seed=3, n_random=60) + [probe]
+    with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+        distortion(fam, probes)
+
+
+@pytest.mark.parametrize("n_random", [40, 2000])
+@pytest.mark.parametrize("space", [SPACES[3], SPACES[13]], ids=["lorentz", "orlicz"])
+def test_distortion_memory_is_bounded_per_chunk(space, n_random):
+    """The sums are built and normed a chunk at a time, so the peak traced
+    allocation does not grow with the number of probes."""
+    fam = build_witness(space, 2.0**0.5, 17, 32, -72)
+    probes = standard_probes(17, fam.theta, seed=1, n_random=n_random)
+    tracemalloc.start()
+    try:
+        distortion(fam, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
