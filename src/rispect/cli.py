@@ -98,19 +98,21 @@ class RunConfig:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
 
 
-def _opt_int(obj: dict, name: str, default: int) -> int:
-    v = obj.get(name, default)
+# An optional config field absent from the JSON takes the default of the
+# config dataclass field of the same name.
+def _default(cls, name: str):
+    return cls.__dataclass_fields__[name].default
+
+
+def _opt_int(obj: dict, name: str, cls) -> int:
+    v = obj.get(name, _default(cls, name))
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"field {name} must be an integer, got {v!r}")
     return v
 
 
-def _opt_number(obj: dict, name: str, default: float) -> float:
-    return _number(obj.get(name, default), name)
-
-
-def _number_list(obj: dict, name: str, default: tuple) -> tuple:
-    v = obj.get(name, list(default))
+def _number_list(obj: dict, name: str, cls) -> tuple:
+    v = obj.get(name, list(_default(cls, name)))
     if not isinstance(v, list):
         raise ConfigError(f"field {name} must be a list of numbers, got {v!r}")
     for i, x in enumerate(v):
@@ -118,8 +120,8 @@ def _number_list(obj: dict, name: str, default: tuple) -> tuple:
     return tuple(v)
 
 
-def _int_list(obj: dict, name: str, default: tuple) -> tuple[int, ...]:
-    out = _number_list(obj, name, default)
+def _int_list(obj: dict, name: str, cls) -> tuple[int, ...]:
+    out = _number_list(obj, name, cls)
     for i, x in enumerate(out):
         if not isinstance(x, int):
             raise ConfigError(f"field {name}[{i}] must be an integer, got {x!r}")
@@ -135,9 +137,9 @@ def _parse_witness(obj) -> WitnessConfig:
     if not isinstance(obj, dict):
         raise ConfigError("field witness must be an object")
     if "theta" in obj:
-        theta = _opt_number(obj, "theta", 0.0)
+        theta = _number(obj["theta"], "theta")
     elif "lam" in obj:
-        lam = _opt_number(obj, "lam", 1.0)
+        lam = _number(obj["lam"], "lam")
         if not lam > 0:
             raise ConfigError(f"witness lam must be positive, got {lam}")
         theta = math.log2(lam)
@@ -146,7 +148,7 @@ def _parse_witness(obj) -> WitnessConfig:
         if p == "inf":
             theta = 0.0
         else:
-            p = _opt_number(obj, "p", 1.0)
+            p = _number(p, "p")
             if not p > 0:
                 raise ConfigError(f"witness p must be positive, got {p}")
             theta = 1.0 / p
@@ -157,7 +159,7 @@ def _parse_witness(obj) -> WitnessConfig:
     k = obj.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
         raise ConfigError(f"field witness.k must be an integer, got {k!r}")
-    windows = _int_list(obj, "windows", (8, 32))
+    windows = _int_list(obj, "windows", WitnessConfig)
     for n in windows:
         if n < 1:
             raise ConfigError(f"witness windows entries must be >= 1, got {n}")
@@ -166,10 +168,10 @@ def _parse_witness(obj) -> WitnessConfig:
             raise ConfigError(
                 f"witness window {n} at k={start} leaves the exact block range [-1000, 1000]"
             )
-    n_copies = _opt_int(obj, "n_copies", 16)
+    n_copies = _opt_int(obj, "n_copies", WitnessConfig)
     if n_copies < 1:
         raise ConfigError(f"witness n_copies must be >= 1, got {n_copies}")
-    n_random = _opt_int(obj, "n_random", 100)
+    n_random = _opt_int(obj, "n_random", WitnessConfig)
     if n_random < 0:
         raise ConfigError(f"witness n_random must be >= 0, got {n_random}")
     return WitnessConfig(theta=theta, n_copies=n_copies, windows=windows, k=k, n_random=n_random)
@@ -192,9 +194,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    k_radius = _opt_int(raw, "k_radius", 256)
-    n_max = _opt_int(raw, "n_max", 64)
-    seed = _opt_int(raw, "seed", 0x5EED)
+    k_radius = _opt_int(raw, "k_radius", RunConfig)
+    n_max = _opt_int(raw, "n_max", RunConfig)
+    seed = _opt_int(raw, "seed", RunConfig)
     if overrides.krange is not None:
         k_radius = overrides.krange
     if overrides.nmax is not None:
@@ -210,10 +212,10 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         space=space,
         k_radius=k_radius,
         n_max=n_max,
-        lambda_grid=tuple(float(x) for x in _number_list(raw, "lambda_grid", ())),
-        n_list=_int_list(raw, "n_list", (8, 16, 32, 64)),
-        probe_k_radius=_opt_int(raw, "probe_k_radius", 128),
-        n_random=_opt_int(raw, "n_random", 200),
+        lambda_grid=tuple(float(x) for x in _number_list(raw, "lambda_grid", RunConfig)),
+        n_list=_int_list(raw, "n_list", RunConfig),
+        probe_k_radius=_opt_int(raw, "probe_k_radius", RunConfig),
+        n_random=_opt_int(raw, "n_random", RunConfig),
         seed=seed,
         witness=witness,
     )
@@ -419,11 +421,11 @@ def cmd_witness(cfg: RunConfig) -> dict:
         raise ConfigError("missing field witness")
     wc = cfg.witness
     lam = 2.0**wc.theta
+    probes = standard_probes(wc.n_copies, wc.theta, cfg.seed, wc.n_random)
     results = []
     for window_n in wc.windows:
         k = _window_start(wc.k, window_n)
         fam = build_witness(cfg.space, lam, wc.n_copies, window_n, k)
-        probes = standard_probes(wc.n_copies, wc.theta, cfg.seed, wc.n_random)
         results.append(
             {
                 "window_n": window_n,

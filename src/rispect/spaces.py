@@ -334,14 +334,16 @@ def lorentz_norm(d: Distribution, q: float, psi: FnSpec) -> float:
     return float(_lorentz_rows(d.values, d.measures[None, :], q, psi)[0])
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", divide="ignore")
 def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
     """Row i: the root u of sum_j weights_ij * N(values_ij / u) = 1, which
     decreases in u; values is one row per weight row, or one row shared by all.
 
     A pure power solves in closed form.  Otherwise each row starts from
     u0 = max_j values_ij, doubles or halves until the modular crosses 1, and
-    bisects with _bisect_rows to LUX_REL_TOL.
+    bisects with _bisect_rows to LUX_REL_TOL.  Division by zero is silent
+    too: a row halved down to u = 0 reads its modular as inf, and raises
+    NumericalError once bracketing ends.
     """
     if isinstance(N, PurePower):
         sums = (weights * values**N.a).sum(axis=1)
@@ -358,7 +360,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     up = m0 > 1.0
     lo = np.where(up, u0, 0.5 * u0)
     hi = np.where(up, 2.0 * u0, u0)
-    rows = every[m0 != 1.0]
+    rows = todo = every[m0 != 1.0]
     for _ in range(_MAX_BRACKET):
         if not rows.size:
             break
@@ -374,7 +376,9 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     if rows.size:
         side = "above" if up[rows[0]] else "below"
         raise NumericalError(f"luxemburg bracketing failed {side}")
-    mids = _bisect_rows(lambda u, r: modular(u, r) >= 1.0, lo, hi, every[m0 != 1.0], LUX_REL_TOL)
+    if not lo[todo].all():
+        raise NumericalError("luxemburg bracketing underflows to u = 0")
+    mids = _bisect_rows(lambda u, r: modular(u, r) >= 1.0, lo, hi, todo, LUX_REL_TOL)
     return np.where(m0 == 1.0, u0, mids)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .indices import IndexSet, WeightSeq
 from .shifts import geometric_window, shift_minus, squared_window
-from .spaces import NumericalError, SpaceSpec, block_norm, block_norms, space_norms
-from .steps import Seq
+from .spaces import NumericalError, SpaceSpec, _grouped_norms, block_norm, block_norms
+from .steps import Seq, _canonical_rows
 
 __all__ = [
     "ThetaInterval",
@@ -269,8 +269,11 @@ def residual_curve(
     return _curve(lam, ks, _window_scan(space, lam, lam, n_list, ks))
 
 
-def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
-    out = []
+def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero random probes as (first blocks, coefficient rows): row i
+    holds probe i's coefficients on blocks starts[i], starts[i] + 1, ...,
+    padded with zeros to RANDOM_MAX_LEN."""
+    starts, rows = [], np.zeros((cfg.n_random, RANDOM_MAX_LEN))
     for i in range(cfg.n_random):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((cfg.seed, lam_index, i)))
@@ -280,18 +283,29 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> list[Seq]:
         length = min(int(rng.integers(1, RANDOM_MAX_LEN + 1)), cfg.k_hi - cfg.k_lo + 1)
         start = int(rng.integers(cfg.k_lo, cfg.k_hi - length + 2))
         vals = rng.standard_normal(length)
-        seq = Seq({start + j: float(v) for j, v in enumerate(vals)})
-        if not seq.is_zero:
-            out.append(seq)
-    return out
+        if vals.any():
+            rows[len(starts), :length] = vals
+            starts.append(start)
+    return np.array(starts, dtype=int), rows[: len(starts)]
 
 
-def _probe_ratios(space: SpaceSpec, lam: float, probes: Sequence[Seq]) -> list[float]:
-    """||_image(a, lam)|| / ||a|| for every probe a, in probe order.  The
-    probes and their images are nonzero, so a zero norm is an underflow."""
-    images = [_image(a, lam) for a in probes]
-    norms = space_norms(space, [a.distribution() for a in probes])
-    image_norms = space_norms(space, [b.distribution() for b in images])
+def _probe_ratios(
+    space: SpaceSpec, lam: float, starts: np.ndarray, coeffs: np.ndarray
+) -> list[float]:
+    """||(shift - lam) a|| / ||a|| for every probe a of _random_probes, in
+    order.  Row i of the images holds (shift - lam) a on blocks starts[i],
+    starts[i] + 1, ..., computed as shift_minus computes it; both sets of
+    rows are canonicalised and normed as arrays.  The probes and their images
+    are nonzero, so a zero norm is an underflow."""
+    padded = np.zeros((len(coeffs), RANDOM_MAX_LEN + 2))
+    padded[:, 1:-1] = coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = padded[:, :-1] - lam * padded[:, 1:]
+    if not np.isfinite(images).all():
+        raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
+    measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))
+    norms = _grouped_norms(space, _canonical_rows(np.abs(coeffs), measures[:, :-1]))
+    image_norms = _grouped_norms(space, _canonical_rows(np.abs(images), measures))
     if 0.0 in norms or 0.0 in image_norms:
         raise NumericalError(f"a random probe or image norm underflows to 0 at lam={lam}")
     return [num / den for num, den in zip(image_norms, norms)]
@@ -340,7 +354,7 @@ def probe_lower_bound(
             if r < best:
                 best, best_probe = r, (kind, rate, k, n)
 
-    for i, r in enumerate(_probe_ratios(space, lam, _random_probes(cfg, lam_index))):
+    for i, r in enumerate(_probe_ratios(space, lam, *_random_probes(cfg, lam_index))):
         if r < best:
             best, best_probe = r, ("random", i)
 

@@ -15,7 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,56 +47,40 @@ def _last_block_below(t: float) -> int:
     return k - 1 if math.ldexp(1.0, k) == t else k
 
 
-def _close(x: float, y: float) -> bool:
-    return abs(x - y) <= MERGE_REL_TOL * max(abs(x), abs(y))
-
-
-def _canonical_atoms(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    kept: list[tuple[float, float]] = []
-    for value, measure in pairs:
-        value = float(value)
-        measure = float(measure)
-        if value < 0:
-            raise ValueError(f"negative level value {value}")
-        if measure < 0:
-            raise ValueError(f"negative measure {measure}")
-        if not (math.isfinite(value) and math.isfinite(measure)):
-            raise ValueError(f"non-finite atom ({value}, {measure})")
-        if value == 0.0 or measure == 0.0:
-            continue
-        kept.append((value, measure))
-    kept.sort(key=lambda a: -a[0])
-    merged: list[list[float]] = []
-    for value, measure in kept:
-        if merged and _close(merged[-1][0], value):
-            merged[-1][1] += measure
-        else:
-            merged.append([value, measure])
-    # tuple() of a list allocates the exact size; from a generator it grows
-    # the tuple by resizing, which fills CPython's tuple free lists.
-    return tuple([(v, m) for v, m in merged])
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Finite multiset of (value, measure) atoms, values sorted decreasing.
 
-    Equal values (up to MERGE_REL_TOL, relative) are merged by summing
-    measures; zero values and zero measures are dropped.
+    Built from any iterable of (value, measure) pairs, or an array of them.
+    Zero values and zero measures are dropped and equal values (up to
+    MERGE_REL_TOL, relative) merged by summing measures, as _canonical_rows
+    sets out; `values` and `measures` are the atoms as arrays.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    measures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms], dtype=float)
-
-    @cached_property
-    def measures(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms], dtype=float)
+        atoms = self.atoms
+        if not isinstance(atoms, np.ndarray):
+            atoms = [(float(v), float(m)) for v, m in atoms]
+        pairs = np.array(atoms, dtype=float).reshape(-1, 2)
+        # A NaN fails both tests, as it fails every comparison.
+        if not (pairs.min(initial=0.0) >= 0.0 and pairs.max(initial=0.0) < math.inf):
+            ok = ((pairs >= 0.0) & (pairs < math.inf)).all(axis=1)
+            value, measure = pairs[int(np.argmin(ok))].tolist()
+            if value < 0:
+                raise ValueError(f"negative level value {value}")
+            if measure < 0:
+                raise ValueError(f"negative measure {measure}")
+            raise ValueError(f"non-finite atom ({value}, {measure})")
+        values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
+        # tuple() of a list allocates the exact size; from an iterator it grows
+        # the tuple by resizing, which fills CPython's tuple free lists.
+        object.__setattr__(self, "atoms", tuple([*zip(values.tolist(), measures.tolist())]))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "measures", measures)
 
     @cached_property
     def total_measure(self) -> float:
@@ -196,9 +180,9 @@ class Seq:
     __rmul__ = __mul__
 
     def distribution(self) -> Distribution:
-        # A list, not a generator: see _canonical_atoms.
-        atoms = [(abs(v), math.ldexp(1.0, k)) for k, v in sorted(self.coeffs.items())]
-        return Distribution(tuple(atoms))
+        ks = sorted(self.coeffs)
+        values = np.abs([self.coeffs[k] for k in ks])
+        return Distribution(np.column_stack((values, np.ldexp(1.0, np.array(ks, dtype=int)))))
 
     def to_positioned(self) -> "PositionedStep":
         pieces = tuple(
@@ -270,13 +254,8 @@ def dyadic_average(x: PositionedStep) -> Seq:
 def disjoint_sum(coeffs: Sequence[float], d: Distribution) -> Distribution:
     """Distribution of sum_k a_k * x_k with the x_k disjointly supported copies
     of a function with distribution d."""
-    atoms: list[tuple[float, float]] = []
-    for c in coeffs:
-        if c == 0.0:
-            continue
-        ac = abs(c)
-        atoms.extend((ac * v, m) for v, m in d.atoms)
-    return Distribution(tuple(atoms))
+    [(values, measures)] = next(_disjoint_sum_chunks(np.array([coeffs], dtype=float), d))
+    return Distribution(np.column_stack((values, measures)))
 
 
 # Elements (rows x copies x base atoms) of the disjoint sums built at once.
@@ -286,12 +265,12 @@ _CHUNK_ELEMS = 4096
 def _disjoint_sum_chunks(
     coeffs: np.ndarray, d: Distribution
 ) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-    """Row i of coeffs (rows x copies) as the (values, measures) arrays of
-    disjoint_sum(coeffs[i], d), bit for bit, yielded in chunks of rows of at
+    """Row i of coeffs (rows x copies) as the canonical (values, measures)
+    arrays of disjoint_sum(coeffs[i], d), yielded in chunks of rows of at
     most about _CHUNK_ELEMS products.
 
     Every product is checked before the first chunk, so a non-finite one
-    raises disjoint_sum's ValueError before any chunk is used.
+    raises Distribution's ValueError before any chunk is used.
     """
     n_rows, n_copies = coeffs.shape
     values, measures = d.values, np.tile(d.measures, n_copies)
@@ -304,66 +283,65 @@ def _disjoint_sum_chunks(
             j = int(np.argmax(~np.isfinite(row)))
             raise ValueError(f"non-finite atom ({float(row[j])}, {float(measures[j])})")
     width = measures.size
-    step = max(1, _CHUNK_ELEMS // width)
+    step = max(1, _CHUNK_ELEMS // max(width, 1))
     for start in range(0, n_rows, step):
+        chunk = np.abs(coeffs[start : start + step])
         # No name binds the products: they are freed before the chunk is used.
-        yield _canonical_rows(
-            (np.abs(coeffs[start : start + step])[:, :, None] * values).reshape(-1, width), measures
-        )
+        yield _canonical_rows((chunk[:, :, None] * values).reshape(len(chunk), width), measures)
 
 
 def _canonical_rows(
     values: np.ndarray, measures: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row i is the (values, measures) arrays of _canonical_atoms(zip(values[i],
-    measures)), bit for bit, for finite non-negative values and positive
-    measures.
+    """Row i is the canonical atoms of zip(values[i], measures[i]) as
+    (values, measures) arrays, for finite non-negative values and measures;
+    measures is one row per value row, or one row shared by all.
 
-    Each row is sorted (stable, descending, zeros last) and a value starts a
-    group where it is not close to its left neighbour.  The merge rule
-    compares a value with its group's first value, not its neighbour, so
-    each row is verified against that rule; a row that fails it is merged by
-    _canonical_atoms.  Group measures are summed left to right, as
-    _canonical_atoms sums them.
+    The atoms of a row are sorted by decreasing value (stable), those with a
+    zero value or measure dropped, and merged by one rule: a value joins the
+    group before it when it is within MERGE_REL_TOL of that group's first
+    value, its head, and heads a new group otherwise.  A group's measures are
+    summed left to right.
+
+    A value v not close to its left neighbour u is a head: the head h of
+    u's group is close to u, so h - v = (h - u) + (u - v) exactly when
+    v >= h/2 (v is far from h otherwise), and the rounded MERGE_REL_TOL * h
+    exceeds the rounded MERGE_REL_TOL * u by at most h - u.  So neighbours
+    propose heads, and then, until there is none, the first value of each
+    group not close to its head becomes a head.
     """
-    width = measures.size
-    order = np.argsort(-values, axis=1, kind="stable")
-    v = np.take_along_axis(values, order, axis=1).ravel()
-    m = measures[order].ravel()
+    n_rows, width = values.shape
+    if not width:
+        return [(np.zeros(0), np.zeros(0))] * n_rows
+    values = np.where(measures > 0.0, values, 0.0)
+    order = (-values).argsort(axis=1, kind="stable")
+    sel = (np.arange(n_rows)[:, None], order)
+    v = values[sel].ravel()
+    m = (measures[sel] if measures.ndim == 2 else measures[order]).ravel()
     live = v > 0.0
     head = live.copy()
     head[1:] &= v[:-1] - v[1:] > MERGE_REL_TOL * v[:-1]
     head[::width] = live[::width]
-    # Group g holds the live positions from heads[g] up to the next head.
-    heads = np.flatnonzero(head)
-    group = np.cumsum(head) - 1
-    head_v = v[heads]
-    # Each follower must be close to its group's head ...
-    follow = np.flatnonzero(live & ~head)
-    lead = head_v[group[follow]]
-    strays = follow[~(lead - v[follow] <= MERGE_REL_TOL * lead)]
-    # ... and each later head of a row not close to the head before it.
-    head_row = heads // width
-    later = np.flatnonzero(head_row[1:] == head_row[:-1]) + 1
-    prev = head_v[later - 1]
-    merges = later[~(prev - head_v[later] > MERGE_REL_TOL * prev)]
-    failed = np.zeros(values.shape[0], dtype=bool)
-    failed[strays // width] = True
-    failed[head_row[merges]] = True
+    while True:
+        heads = head.nonzero()[0]
+        group = head.cumsum() - 1
+        follow = (live & ~head).nonzero()[0]
+        lead = v[heads[group[follow]]]
+        strays = follow[lead - v[follow] > MERGE_REL_TOL * lead]
+        if not strays.size:
+            break
+        # Only a group's first stray is sure to head: the later ones are
+        # compared with it next.
+        g = group[strays]
+        head[strays[np.r_[True, g[1:] != g[:-1]]]] = True
     sizes = np.bincount(group[live], minlength=heads.size)
     sums = m[heads]
     for rank in range(1, int(sizes.max(initial=1))):
         more = sizes > rank
         sums[more] += m[heads[more] + rank]
-    bounds = np.searchsorted(heads, np.arange(values.shape[0] + 1) * width)
-    rows = []
-    for i in range(values.shape[0]):
-        if failed[i]:
-            ref = Distribution(tuple(zip(values[i].tolist(), measures.tolist())))
-            rows.append((ref.values, ref.measures))
-        else:
-            rows.append((head_v[bounds[i] : bounds[i + 1]], sums[bounds[i] : bounds[i + 1]]))
-    return rows
+    head_v = v[heads]
+    bounds = heads.searchsorted(np.arange(n_rows + 1) * width).tolist()
+    return [(head_v[lo:hi], sums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def dyadic_sample(d: Distribution) -> Distribution:

@@ -1,7 +1,8 @@
 """Batched norms and block weights: bit-identical to one scalar evaluation each.
 
 The scalar references here (`reference_root`, `reference_inverse`) are the
-loops the array kernels replaced; they stay as the tests' reference.
+loops the array kernels replaced; they stay as the tests' reference, and
+`reference_norm` norms atoms canonicalised by `test_steps.reference_atoms`.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from rispect import (
     space_norms,
 )
 from rispect.shifts import geometric_window, shift, shift_minus, squared_window
-from rispect.spaces import INV_REL_TOL, LUX_REL_TOL, _inverse_rows, _luxemburg_rows
+from rispect.spaces import INV_REL_TOL, LUX_REL_TOL, _inverse_rows, _lorentz_rows, _luxemburg_rows
 from rispect.spectra import ProbeConfig, _image, _probe_ratios, _random_probes, probe_lower_bound
+from test_steps import reference_seq_atoms
 
 PSIS = [
     PurePower(0.5),
@@ -57,7 +59,7 @@ SPACE_IDS = [f"lorentz-{s.psi.kind}-q{s.q:g}" for s in SPACES[:12]] + [
 ]
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", divide="ignore")
 def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
     """Root u of sum_i weights_i * N(values_i / u) = 1 (decreasing in u), as
     one scalar bracket and bisection: the Luxemburg norm before the row kernel."""
@@ -87,6 +89,8 @@ def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
             lo, hi = 0.5 * lo, lo
         else:
             raise NumericalError("luxemburg bracketing failed below")
+        if lo == 0.0:
+            raise NumericalError("luxemburg bracketing underflows to u = 0")
     for _ in range(200):
         if hi - lo <= LUX_REL_TOL * lo:
             break
@@ -98,13 +102,15 @@ def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
     return 0.5 * (lo + hi)
 
 
-def reference_norm(space, d: Distribution) -> float:
-    """The space norm of d by the one-row Lorentz sum or the scalar Luxemburg root."""
-    if d.is_zero:
+def reference_norm(space, atoms) -> float:
+    """The space norm of canonical atoms by the one-row Lorentz sum or the
+    scalar Luxemburg root."""
+    if not atoms:
         return 0.0
+    values, measures = np.array(atoms).T
     if isinstance(space, Lorentz):
-        return lorentz_norm(d, space.q, space.psi)
-    return reference_root(d.values, d.measures, space.N)
+        return float(_lorentz_rows(values, measures[None, :], space.q, space.psi)[0])
+    return reference_root(values, measures, space.N)
 
 
 # Values with repeats, near-repeats inside the merge tolerance and the
@@ -145,7 +151,7 @@ def test_block_norms_equal_blockwise_norms(space, data):
     a = data.draw(windows())
     ks = data.draw(starts(a))
     try:
-        want = [reference_norm(space, shift(a, k).distribution()) for k in ks]
+        want = [reference_norm(space, reference_seq_atoms(shift(a, k))) for k in ks]
     except NumericalError:
         # A root that one start cannot bracket fails the whole batch too.
         with pytest.raises(NumericalError):
@@ -182,6 +188,16 @@ def test_luxemburg_rows_match_scalar_root(N, values, scales, seed):
     weights = np.ldexp(rng.uniform(0.5, 1.0, (len(scales), values.size)), np.array(scales)[:, None])
     rows = _luxemburg_rows(values, weights, N)
     assert rows.tolist() == [reference_root(values, w, N) for w in weights]
+
+
+@pytest.mark.parametrize("N", [NS[2], NS[3]], ids=[NS[2].kind, NS[3].kind])
+def test_luxemburg_bracket_reaching_zero_is_numerical_failure(N):
+    """A subnormal value halves u down to 0; that row raises, with no
+    division by zero on the way, and so does a batch holding it."""
+    with pytest.raises(NumericalError, match="u = 0"):
+        space_norm(Orlicz(N), Distribution(((5e-324, 0.5),)))
+    with pytest.raises(NumericalError, match="u = 0"):
+        _luxemburg_rows(np.array([5e-324]), np.array([[1.0], [0.5]]), N)
 
 
 @pytest.mark.parametrize("space", [SPACES[0], SPACES[12]], ids=["lorentz", "orlicz"])
@@ -225,7 +241,7 @@ def test_space_norms_take_any_iterable(space, ds):
     assert space_norms(space, (d for d in ds)) == got
     assert all(v == 0.0 for v, d in zip(got, ds) if d.is_zero)
     assert got == [space_norm(space, d) for d in ds]
-    assert got == [reference_norm(space, d) for d in ds]
+    assert got == [reference_norm(space, d.atoms) for d in ds]
 
 
 # --- block weights: the array fundamental against the scalar loop ----------------------
@@ -337,20 +353,21 @@ def test_nonpositive_arguments_are_refused(bad):
 @pytest.mark.parametrize("seed", [1, 0x5EED])
 def test_random_probe_ratios_equal_scalar_ratios(space, lam, seed):
     cfg = ProbeConfig(k_lo=-24, k_hi=24, n_values=(), n_random=40, seed=seed)
-    probes = _random_probes(cfg, 0)
+    firsts, coeffs = _random_probes(cfg, 0)
+    probes = [Seq({k + j: c for j, c in enumerate(row)}) for k, row in zip(firsts, coeffs.tolist())]
     want = [
-        reference_norm(space, _image(a, lam).distribution())
-        / reference_norm(space, a.distribution())
+        reference_norm(space, reference_seq_atoms(_image(a, lam)))
+        / reference_norm(space, reference_seq_atoms(a))
         for a in probes
     ]
-    assert _probe_ratios(space, lam, probes) == want
+    assert _probe_ratios(space, lam, firsts, coeffs) == want
     # The first strict minimum in probe order wins, after the unit vectors.
     ks = range(cfg.k_lo, cfg.k_hi + 1)
     best, best_probe = math.inf, None
     for k in ks:
         unit = Seq.unit(k)
-        r = reference_norm(space, _image(unit, lam).distribution()) / reference_norm(
-            space, unit.distribution()
+        r = reference_norm(space, reference_seq_atoms(_image(unit, lam))) / reference_norm(
+            space, reference_seq_atoms(unit)
         )
         if r < best:
             best, best_probe = r, ("unit", k)

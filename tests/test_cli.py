@@ -6,12 +6,13 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispect import NumericalError, cli
+from rispect import NumericalError, build_witness, cli, distortion
 from rispect.cli import PROBE_CSV_HEADER, RESIDUAL_CSV_HEADER, main
 
 QUARTER = {"type": "lorentz", "q": 1, "psi": {"kind": "piecewise_power", "a0": 0.25, "a_inf": 0.75}}
@@ -278,6 +279,49 @@ def test_witness_json_distortion_fields(capsys, tmp_path):
     assert [r["window_n"] for r in doc["results"]] == [4, 8]
     for row in doc["results"]:
         assert row["distortion"] >= 1.0
+
+
+@pytest.mark.parametrize("command", ["witness", "report"])
+def test_witness_draws_probes_once(command, capsys, tmp_path, monkeypatch):
+    """One draw serves every window of a command, and the output is the
+    same as drawing per window."""
+    calls = []
+    draw = cli.standard_probes
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(cli, "standard_probes", counted)
+    witness = {"p": 2.0, "n_copies": 3, "windows": [4, 8], "n_random": 5}
+    cfgpath = write_config(tmp_path, witness=witness)
+    code, out, _ = run(capsys, command, "--config", cfgpath)
+    assert code == 0
+    assert calls == [(3, 0.5, 7, 5)]
+    doc = json.loads(out)
+    results = (doc if command == "witness" else doc["witness"])["results"]
+    space = cli.space_from_json(QUARTER)
+    probes = draw(3, 0.5, 7, 5)
+    assert [r["distortion"] for r in results] == [
+        distortion(build_witness(space, 2.0**0.5, 3, n, -(n + 40)), probes) for n in (4, 8)
+    ]
+
+
+def test_config_of_only_a_space_echoes_the_field_defaults(capsys, tmp_path):
+    path = tmp_path / "space-only.json"
+    path.write_text(json.dumps({"space": QUARTER, "witness": {"theta": 0.25}}))
+    code, out, _ = run(capsys, "indices", "--config", str(path))
+    assert code == 0
+    echo = json.loads(out)["config"]
+    run_defaults = {f.name: f.default for f in fields(cli.RunConfig)}
+    wit_defaults = {f.name: f.default for f in fields(cli.WitnessConfig)}
+    assert list(echo) == list(run_defaults)
+    for name, default in run_defaults.items():
+        if name not in ("space", "witness"):
+            assert echo[name] == (list(default) if isinstance(default, tuple) else default)
+    assert echo["witness"] == {
+        name: list(v) if isinstance(v, tuple) else v for name, v in wit_defaults.items()
+    } | {"theta": 0.25}
 
 
 def test_report_includes_witness(capsys, tmp_path):

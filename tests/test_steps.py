@@ -1,11 +1,18 @@
-"""Step-function layer: canonical distributions, dyadic blocks, projections."""
+"""Step-function layer: canonical distributions, dyadic blocks, projections.
+
+`reference_atoms` here is the scalar canonicaliser the array routine
+`steps._canonical_rows` replaced; it stays as the tests' reference for the
+merge rule.
+"""
 
 from __future__ import annotations
 
 import math
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispect import (
@@ -20,6 +27,48 @@ from rispect import (
 )
 from rispect.shifts import shift
 from rispect.steps import MERGE_REL_TOL, floor_log2
+
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= MERGE_REL_TOL * max(abs(x), abs(y))
+
+
+def reference_atoms(pairs) -> tuple[tuple[float, float], ...]:
+    """Canonical atoms of (value, measure) pairs, one atom at a time: zero
+    values and measures dropped, stable sort by decreasing value, and each
+    value merged into the group before it when close to that group's first
+    value, measures summed left to right."""
+    kept: list[tuple[float, float]] = []
+    for value, measure in pairs:
+        value = float(value)
+        measure = float(measure)
+        if value < 0:
+            raise ValueError(f"negative level value {value}")
+        if measure < 0:
+            raise ValueError(f"negative measure {measure}")
+        if not (math.isfinite(value) and math.isfinite(measure)):
+            raise ValueError(f"non-finite atom ({value}, {measure})")
+        if value == 0.0 or measure == 0.0:
+            continue
+        kept.append((value, measure))
+    kept.sort(key=lambda a: -a[0])
+    merged: list[list[float]] = []
+    for value, measure in kept:
+        if merged and _close(merged[-1][0], value):
+            merged[-1][1] += measure
+        else:
+            merged.append([value, measure])
+    return tuple((v, m) for v, m in merged)
+
+
+def reference_seq_atoms(a: Seq) -> tuple[tuple[float, float], ...]:
+    """reference_atoms of the block sequence a: |a_k| on a block of measure 2**k."""
+    return reference_atoms((abs(v), math.ldexp(1.0, k)) for k, v in sorted(a.coeffs.items()))
+
+
+def reference_disjoint_sum(coeffs, d: Distribution) -> tuple[tuple[float, float], ...]:
+    """reference_atoms of sum_k a_k * x_k, the x_k disjoint copies of d."""
+    return reference_atoms((abs(c) * v, m) for c in coeffs if c != 0.0 for v, m in d.atoms)
+
 
 atom_lists = st.lists(
     st.tuples(
@@ -75,6 +124,76 @@ def test_distribution_rejects_bad_atoms():
         Distribution(((1.0, -1.0),))
     with pytest.raises(ValueError):
         Distribution(((math.inf, 1.0),))
+
+
+# A chain of values each 0.6 * MERGE_REL_TOL below the one before: every
+# neighbour is close, but a value two steps from a group's first value is not,
+# so the chain merges pairwise and one neighbour run needs many promotions.
+def chain(top: float, n: int) -> list[float]:
+    return [top * (1.0 - k * 0.6 * MERGE_REL_TOL) for k in range(n)]
+
+
+canonical_values = st.one_of(
+    st.floats(0.0, 1e3),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5]),
+    # Subnormals, including the smallest, and the smallest normal.
+    st.integers(1, 4000).map(lambda j: j * 5e-324),
+    st.just(2.0**-1022),
+)
+canonical_measures = st.one_of(
+    st.floats(0.0, 1e3), st.just(0.0), st.integers(-30, 30).map(lambda k: 2.0**k)
+)
+
+
+@st.composite
+def canonical_inputs(draw) -> list[tuple[float, float]]:
+    """Free atoms plus near-tie chains of at least 10 values, shuffled."""
+    pairs = draw(st.lists(st.tuples(canonical_values, canonical_measures), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        top = draw(st.sampled_from([1.5, 1.0, 3e-310, 1e300]) | st.floats(1e-3, 1e3))
+        for v in chain(top, draw(st.integers(10, 24))):
+            pairs.append((v, draw(canonical_measures)))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=300)
+@given(pairs=canonical_inputs())
+@example(pairs=[(v, 1.0) for v in chain(1.5, 12)])
+@example(pairs=[(v, 0.1) for v in reversed(chain(1.5, 10))] + [(0.0, 1.0), (1.0, 0.0)])
+@example(pairs=[(5e-324, 1.0), (1e-323, 0.5), (5e-324, 0.0), (0.0, 0.0)])
+def test_distribution_equals_reference_atoms(pairs):
+    """Bit for bit the scalar rule, also from an array of pairs and as the
+    distribution of a block sequence."""
+    want = reference_atoms(pairs)
+    assert Distribution(pairs).atoms == want
+    assert Distribution(np.array(pairs, dtype=float).reshape(-1, 2)).atoms == want
+    a = Seq({k: v for k, (v, _) in enumerate(pairs)})
+    assert a.distribution().atoms == reference_seq_atoms(a)
+
+
+BAD_ATOMS = [
+    (-1.0, 1.0),
+    (1.0, -1.0),
+    (math.nan, 1.0),
+    (1.0, math.nan),
+    (math.inf, 1.0),
+    (1.0, math.inf),
+    (-math.inf, math.nan),
+    (math.nan, -2.0),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_ATOMS)
+@pytest.mark.parametrize("where", [0, 2])
+def test_distribution_reports_the_first_bad_atom(bad, where):
+    """The scalar rule's message for the first bad atom, ahead of a later one."""
+    pairs = [(1.0, 1.0), (2.0, 0.5)]
+    pairs.insert(where, bad)
+    pairs.append((-5.0, -5.0))
+    with pytest.raises(ValueError) as want:
+        reference_atoms(pairs)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        Distribution(pairs)
 
 
 def test_distribution_scale():

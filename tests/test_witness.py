@@ -26,6 +26,7 @@ from rispect import (
 from rispect.spaces import _grouped_norms
 from rispect.steps import MERGE_REL_TOL, _CHUNK_ELEMS, _disjoint_sum_chunks
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
+from test_steps import reference_disjoint_sum
 
 
 def test_lp_norm_basics():
@@ -89,7 +90,8 @@ def reference_distortion(fam, probes) -> float:
             raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
         if not any(v != 0.0 for v in a):
             continue
-        ratio = reference_norm(fam.space, disjoint_sum(a, fam.base)) / lp_norm(a, fam.theta)
+        num = reference_norm(fam.space, reference_disjoint_sum(a, fam.base))
+        ratio = num / lp_norm(a, fam.theta)
         worst = max(worst, ratio, 1.0 / ratio)
     return worst
 
@@ -230,14 +232,15 @@ def families(draw) -> tuple[list[list[float]], Distribution]:
 @given(family=families())
 @example(family=([CHAIN[:1] * 3, [1.0, -1.0, 1.0]], Distribution(tuple((v, 0.1) for v in CHAIN))))
 def test_row_path_atoms_equal_disjoint_sum(family):
-    """Each row's values and measures are disjoint_sum's, bit for bit."""
+    """Each row's values and measures are the scalar rule's disjoint sum, bit
+    for bit, and disjoint_sum, its one-row call, gives the same atoms."""
     coeffs, base = family
     got = row_path(coeffs, base)
     assert len(got) == len(coeffs)
     for (values, measures), a in zip(got, coeffs):
-        ref = disjoint_sum(a, base)
-        assert values.tolist() == ref.values.tolist()
-        assert measures.tolist() == ref.measures.tolist()
+        ref = reference_disjoint_sum(a, base)
+        assert list(zip(values.tolist(), measures.tolist())) == list(ref)
+        assert disjoint_sum(a, base).atoms == ref
 
 
 @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
@@ -247,25 +250,24 @@ def test_row_norms_equal_disjoint_sum_norms(space, family):
     coeffs, base = family
     try:
         want = [space_norm(space, disjoint_sum(a, base)) for a in coeffs]
-    except (NumericalError, RuntimeWarning) as exc:
-        # The row kernels fail on the rows the reference fails on; a
-        # Luxemburg root of subnormal values divides by zero in both.
+    except NumericalError as exc:
+        # The row kernels fail on the rows the reference fails on, such as a
+        # Luxemburg root of subnormal values, whose bracket reaches u = 0.
         with pytest.raises(type(exc)):
             row_norms(space, coeffs, base)
         return
     assert row_norms(space, coeffs, base) == want
 
 
-def test_row_path_falls_back_on_neighbour_chains():
+def test_row_path_merges_neighbour_chains_from_their_heads():
     """The chain merges pairwise but not from its first value; the tight
-    chain is one group.  Both must come out as _canonical_atoms makes them."""
+    chain is one group.  Both must come out as the scalar rule makes them."""
     base = Distribution(((1.0, 0.1), (2.0**-40, 0.3)))
     coeffs = [CHAIN, TIGHT + [0.0], [CHAIN[0], CHAIN[2], CHAIN[1], CHAIN[3]]]
     got = row_path(coeffs, base)
     for (values, measures), a in zip(got, coeffs):
-        ref = disjoint_sum(a, base)
-        assert values.tolist() == ref.values.tolist()
-        assert measures.tolist() == ref.measures.tolist()
+        ref = reference_disjoint_sum(a, base)
+        assert list(zip(values.tolist(), measures.tolist())) == list(ref)
     assert len(got[0][0]) == 4  # two groups per base value
     assert len(got[1][0]) == 2  # one group per base value
 
@@ -284,12 +286,12 @@ def test_row_path_spans_chunks(quarter):
 
 @pytest.mark.parametrize("bad", [1.7e308, math.inf, math.nan])
 def test_row_path_rejects_non_finite_products_as_disjoint_sum(quarter, bad):
-    """The same ValueError as disjoint_sum, also when the offending probe
-    sits in a later chunk than probes that norm fine."""
+    """The scalar rule's ValueError, also when the offending probe sits in a
+    later chunk than probes that norm fine."""
     fam = build_witness(quarter, 2.0**0.5, 17, 32, -72)
     probe = [1.0] * 16 + [bad]
     with pytest.raises(ValueError) as ref:
-        disjoint_sum(probe, fam.base)
+        reference_disjoint_sum(probe, fam.base)
     probes = standard_probes(17, fam.theta, seed=3, n_random=60) + [probe]
     with pytest.raises(ValueError, match=re.escape(str(ref.value))):
         distortion(fam, probes)
