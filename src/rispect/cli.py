@@ -483,15 +483,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rispect",
         description="Dilation indices and doubling-operator spectra of "
         "rearrangement-invariant spaces",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<10} {help_text}" for name, (help_text, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--nmax", type=int, default=None, help="override n_max")
-        p.add_argument("--krange", type=int, default=None, help="override k_radius")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see commands below")
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--nmax", type=int, default=None, help="override n_max")
+    parser.add_argument("--krange", type=int, default=None, help="override k_radius")
+    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 

@@ -81,13 +81,8 @@ def block_weights(space: SpaceSpec, k_min: int, k_max: int) -> WeightSeq:
     return WeightSeq(k_min, k_max, fundamentals(space, np.ldexp(1.0, np.arange(k_min, k_max + 1))))
 
 
-def ratio_sup(w: WeightSeq, n: int, region: Region, direction: Direction) -> float:
-    """sup over admissible k of s_{k+n}/s_k (up) or s_k/s_{k+n} (down).
-
-    Admissible k keeps both k and k+n inside the window, and inside the
-    half-axis for the restricted regions: k+n <= 0 for "zero", k >= 0 for
-    "infinity".
-    """
+def _region_bounds(w: WeightSeq, n: int, region: Region) -> tuple[int, int]:
+    """First and last admissible k for ratio_sup(w, n, region, ...)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > w.width // 2:
@@ -101,6 +96,17 @@ def ratio_sup(w: WeightSeq, n: int, region: Region, direction: Direction) -> flo
         raise ValueError(f"unknown region {region!r}")
     if lo > hi:
         raise ValueError(f"window too small for n={n} in region {region!r}")
+    return lo, hi
+
+
+def ratio_sup(w: WeightSeq, n: int, region: Region, direction: Direction) -> float:
+    """sup over admissible k of s_{k+n}/s_k (up) or s_k/s_{k+n} (down).
+
+    Admissible k keeps both k and k+n inside the window, and inside the
+    half-axis for the restricted regions: k+n <= 0 for "zero", k >= 0 for
+    "infinity".
+    """
+    lo, hi = _region_bounds(w, n, region)
     base = w.s[lo - w.k_min : hi - w.k_min + 1]
     shifted = w.s[lo + n - w.k_min : hi + n - w.k_min + 1]
     if direction == "up":
@@ -110,8 +116,8 @@ def ratio_sup(w: WeightSeq, n: int, region: Region, direction: Direction) -> flo
     raise ValueError(f"unknown direction {direction!r}")
 
 
-# name -> (region, direction, sign); index estimate at window n is
-# sign * log2(ratio_sup)/n.
+# name -> (region, direction, sign), in IndexSet field order; the index
+# estimate at window n is sign * log2(ratio_sup)/n.
 _EXPONENTS: dict[str, tuple[Region, Direction, float]] = {
     "alpha": ("all", "down", -1.0),
     "beta": ("all", "up", 1.0),
@@ -155,14 +161,7 @@ class IndexSet:
                 raise ValueError(f"ordering violated: {lo}={vals[lo]} > {hi}={vals[hi]}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "alpha0": self.alpha0,
-            "beta0": self.beta0,
-            "alpha_inf": self.alpha_inf,
-            "beta_inf": self.beta_inf,
-        }
+        return {name: getattr(self, name) for name in _EXPONENTS}
 
 
 def _clamp01(x: float) -> float:
@@ -182,14 +181,19 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
     if n_max > w.width // 4:
         raise ValueError(f"n_max={n_max} needs window width >= {4 * n_max}, got {w.width}")
     inner = w.window(w.k_min + n_max, w.k_max - n_max)
-
-    per_n: dict[str, list[float]] = {}
-    for name, (region, direction, sign) in _EXPONENTS.items():
-        series = [
-            sign * math.log2(ratio_sup(inner, n, region, direction)) / n
-            for n in range(1, n_max + 1)
-        ]
-        per_n[name] = series
+    # One pass per n: both ratio arrays once, then each sup over its region's
+    # slice, bit for bit ratio_sup(inner, n, region, direction).  Bounds come
+    # region by region, then n, so an empty region raises ratio_sup's first error.
+    regions = dict.fromkeys(region for region, _, _ in _EXPONENTS.values())
+    bounds = {r: [_region_bounds(inner, n, r) for n in range(1, n_max + 1)] for r in regions}
+    per_n: dict[str, list[float]] = {name: [] for name in _EXPONENTS}
+    s = inner.s
+    for n in range(1, n_max + 1):
+        ratios = {"up": s[n:] / s[:-n], "down": s[:-n] / s[n:]}
+        for name, (region, direction, sign) in _EXPONENTS.items():
+            lo, hi = bounds[region][n - 1]
+            sup = ratios[direction][lo - inner.k_min : hi - inner.k_min + 1].max()
+            per_n[name].append(sign * math.log2(sup) / n)
 
     estimates = {name: _clamp01(series[-1]) for name, series in per_n.items()}
     half = max(1, n_max // 2)

@@ -231,16 +231,21 @@ def _bisect_rows(below, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, tol: f
     """Bisect the brackets [lo[i], hi[i]] of the given rows in place until
     hi - lo <= tol * lo (a NaN test keeps a row going) or _MAX_BISECT steps,
     and return the midpoints of all rows.  below(mid, rows) is True where the
-    root lies above mid.  Rows that have finished are masked out, so each
-    row takes the steps a one-row call would."""
+    root lies above mid.  Active brackets are kept compact, shrinking when a
+    row finishes, so each row takes the steps a one-row call would."""
+    lo_r, hi_r = lo[rows], hi[rows]
     for _ in range(_MAX_BISECT):
-        rows = rows[~(hi[rows] - lo[rows] <= tol * lo[rows])]
+        going = ~(hi_r - lo_r <= tol * lo_r)
+        if not going.all():
+            lo[rows], hi[rows] = lo_r, hi_r
+            rows, lo_r, hi_r = rows[going], lo_r[going], hi_r[going]
         if not rows.size:
             break
-        mid = 0.5 * (lo[rows] + hi[rows])
+        mid = 0.5 * (lo_r + hi_r)
         up = below(mid, rows)
-        lo[rows] = np.where(up, mid, lo[rows])
-        hi[rows] = np.where(up, hi[rows], mid)
+        lo_r = np.where(up, mid, lo_r)
+        hi_r = np.where(up, hi_r, mid)
+    lo[rows], hi[rows] = lo_r, hi_r
     return 0.5 * (lo + hi)
 
 
@@ -351,8 +356,10 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     values = np.broadcast_to(values, weights.shape)
 
     def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        terms = np.asarray(N.value(values[rows] / u[:, None]), dtype=float)
-        return (weights[rows] * terms).sum(axis=1)
+        # rows is sorted and unique, so at full size it is every row: no gather.
+        v, w = (values, weights) if rows.size == len(weights) else (values[rows], weights[rows])
+        terms = np.asarray(N.value(v / u[:, None]), dtype=float)
+        return (w * terms).sum(axis=1)
 
     every = np.arange(weights.shape[0])
     u0 = values.max(axis=1)
@@ -391,10 +398,15 @@ def luxemburg_norm(d: Distribution, N: FnSpec) -> float:
 
 def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
     """Row i is the norm of the distribution (values[i], measures[i]); values
-    is one row per measure row, or one row shared by all."""
+    is one row per measure row, or one row shared by all.  Every row is a
+    nonzero distribution, so a zero norm is an underflow: NumericalError."""
     if isinstance(space, Lorentz):
-        return _lorentz_rows(values, measures, space.q, space.psi)
-    return _luxemburg_rows(values, measures, space.N)
+        norms = _lorentz_rows(values, measures, space.q, space.psi)
+    else:
+        norms = _luxemburg_rows(values, measures, space.N)
+    if not norms.all():
+        raise NumericalError("the norm of a nonzero distribution underflows to 0")
+    return norms
 
 
 def space_norm(space: SpaceSpec, d: Distribution) -> float:

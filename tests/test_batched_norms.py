@@ -37,7 +37,15 @@ from rispect import (
     space_norms,
 )
 from rispect.shifts import geometric_window, shift, shift_minus, squared_window
-from rispect.spaces import INV_REL_TOL, LUX_REL_TOL, _inverse_rows, _lorentz_rows, _luxemburg_rows
+from rispect.spaces import (
+    _MAX_BISECT,
+    INV_REL_TOL,
+    LUX_REL_TOL,
+    _bisect_rows,
+    _inverse_rows,
+    _lorentz_rows,
+    _luxemburg_rows,
+)
 from rispect.spectra import ProbeConfig, _image, _probe_ratios, _random_probes, probe_lower_bound
 from test_steps import reference_seq_atoms
 
@@ -157,6 +165,11 @@ def test_block_norms_equal_blockwise_norms(space, data):
         with pytest.raises(NumericalError):
             block_norms(space, a, ks)
         return
+    if 0.0 in want:
+        # So does a nonzero window whose norm underflows to 0 at one start.
+        with pytest.raises(NumericalError, match="underflows to 0"):
+            block_norms(space, a, ks)
+        return
     assert block_norms(space, a, ks).tolist() == want
 
 
@@ -198,6 +211,19 @@ def test_luxemburg_bracket_reaching_zero_is_numerical_failure(N):
         space_norm(Orlicz(N), Distribution(((5e-324, 0.5),)))
     with pytest.raises(NumericalError, match="u = 0"):
         _luxemburg_rows(np.array([5e-324]), np.array([[1.0], [0.5]]), N)
+
+
+@pytest.mark.parametrize(
+    "space", [Orlicz(PurePower(2.0)), Lorentz(2, PurePower(0.5))], ids=["orlicz", "lorentz"]
+)
+def test_closed_form_norm_underflow_is_numerical_failure(space):
+    """A nonzero distribution whose closed-form norm underflows to 0 raises,
+    one at a time and in a window batch, where 0/0 would otherwise reach a
+    window scan as a ratio that never wins."""
+    with pytest.raises(NumericalError, match="underflows to 0"):
+        space_norm(space, Distribution(((5e-324, 0.5),)))
+    with pytest.raises(NumericalError, match="underflows to 0"):
+        block_norms(space, Seq({0: 1e-200, 1: 1e-200}), [0, 1, 2])
 
 
 @pytest.mark.parametrize("space", [SPACES[0], SPACES[12]], ids=["lorentz", "orlicz"])
@@ -343,6 +369,63 @@ def test_nonpositive_arguments_are_refused(bad):
             fundamental(space, bad)
         with pytest.raises(ValueError, match=f"positive t required, got {bad}$"):
             fundamentals(space, [1.0, bad, -2.0])
+
+
+# --- the shared bisection: compacted rows against one scalar loop per row -----------------
+
+
+def reference_bisect(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """One row's bracket after _bisect_rows' steps, taken one at a time."""
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= tol * lo:
+            break
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(max_examples=50)
+@given(
+    brackets=st.lists(
+        st.tuples(
+            st.floats(1e-3, 1e3),
+            st.one_of(
+                st.floats(0.0, 1e3),
+                st.sampled_from([0.0, 1e-13, 1e-12, 1e-6, 1.0]),
+                st.just(math.nan),
+            ),
+            st.floats(0.0, 1.0),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    tol=st.sampled_from([LUX_REL_TOL, 1e-6]),
+)
+def test_bisect_rows_equal_one_row_at_a_time(brackets, tol):
+    """Rows whose brackets have different relative widths finish at different
+    steps (a NaN bracket runs to _MAX_BISECT); rows left out keep their
+    brackets.  Every bracket and midpoint equals the scalar loop's."""
+    lo = np.array([x for x, _, _, _ in brackets])
+    hi = lo * (1.0 + np.array([w for _, w, _, _ in brackets]))
+    roots = lo + (hi - lo) * np.array([f for _, _, f, _ in brackets])
+    rows = np.array([i for i, (*_, kept) in enumerate(brackets) if kept], dtype=int)
+    want_lo, want_hi = lo.copy(), hi.copy()
+    for i in rows.tolist():
+        want_lo[i], want_hi[i] = reference_bisect(lambda m: m < roots[i], lo[i], hi[i], tol)
+    calls = []
+
+    def below(mid, r):
+        calls.append(r.size)
+        return mid < roots[r]
+
+    mids = _bisect_rows(below, lo, hi, rows, tol)
+    assert (lo.tobytes(), hi.tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
+    assert mids.tobytes() == (0.5 * (want_lo + want_hi)).tobytes()
+    assert 0 not in calls and sorted(calls, reverse=True) == calls
 
 
 # --- random probes: batched ratios against one scalar ratio per probe -------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -603,3 +604,114 @@ def test_norm_underflow_is_numerical_failure(command, q, overrides, capsys, tmp_
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("numerical failure:")
+
+
+# --- the parser -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_parses(command):
+    args = cli._build_parser().parse_args([command, "--config", "c.json", "--nmax", "4"])
+    assert (args.command, args.config, args.nmax, args.krange, args.seed, args.out) == (
+        command,
+        "c.json",
+        4,
+        None,
+        None,
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sideways", "--config", "c.json"],
+        ["indices"],
+        ["indices", "--config", "c.json", "--nmax", "x"],
+    ],
+    ids=["unknown-command", "missing-config", "non-integer-nmax"],
+)
+def test_bad_command_line_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: rispect")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, (help_text, _) in cli._COMMANDS.items():
+        assert any(line.split(None, 1) == [name, help_text] for line in lines), name
+
+
+def test_options_before_the_command(capsys, tmp_path):
+    cfgpath = write_config(tmp_path)
+    after = run(capsys, "indices", "--config", cfgpath, "--nmax", "8")
+    before = run(capsys, "--config", cfgpath, "--nmax", "8", "indices")
+    assert after[0] == 0
+    assert before == after
+
+
+# sha256 (first 16 hex digits) of stdout + "\0" + stderr, and the exit code, of
+# every command on every tests/data config, as printed before the CLI had one
+# flat parser.  The witness command exits 2 where a config has no witness.
+DATA_OUTPUTS = {
+    ("l1", "indices"): (0, "617136a398e3077d"),
+    ("l1", "spectrum"): (0, "26174f92ab685a24"),
+    ("l1", "probe"): (0, "44ecf5749dfb40e4"),
+    ("l1", "residuals"): (0, "98f4b0c601076fe4"),
+    ("l1", "witness"): (2, "175ec17f77160285"),
+    ("l1", "report"): (0, "d0dd311429516bf2"),
+    ("lorentz_sqrt", "indices"): (0, "d4e9cbb3ff265d38"),
+    ("lorentz_sqrt", "spectrum"): (0, "432e54cc69660cf6"),
+    ("lorentz_sqrt", "probe"): (0, "0e918d228c2d436d"),
+    ("lorentz_sqrt", "residuals"): (0, "2d937d01b0e20491"),
+    ("lorentz_sqrt", "witness"): (2, "175ec17f77160285"),
+    ("lorentz_sqrt", "report"): (0, "7f238f19908dd4ce"),
+    ("lorentz_two", "indices"): (0, "e99a98ed1f347741"),
+    ("lorentz_two", "spectrum"): (0, "605aa3eaf65fafea"),
+    ("lorentz_two", "probe"): (0, "ba82375cf8ad4429"),
+    ("lorentz_two", "residuals"): (0, "349fadab2487d217"),
+    ("lorentz_two", "witness"): (2, "175ec17f77160285"),
+    ("lorentz_two", "report"): (0, "3cc07dea358a051d"),
+    ("orlicz_piecewise", "indices"): (0, "1953ad1181f06a49"),
+    ("orlicz_piecewise", "spectrum"): (0, "85a938f50fa09ae4"),
+    ("orlicz_piecewise", "probe"): (0, "e7e2d59e8152e198"),
+    ("orlicz_piecewise", "residuals"): (0, "51f38903ab011fa8"),
+    ("orlicz_piecewise", "witness"): (2, "175ec17f77160285"),
+    ("orlicz_piecewise", "report"): (0, "3c7a6dce2c0083ff"),
+    ("orlicz_square", "indices"): (0, "2f2093874c47b646"),
+    ("orlicz_square", "spectrum"): (0, "55cbdd5a100b7518"),
+    ("orlicz_square", "probe"): (0, "ba82375cf8ad4429"),
+    ("orlicz_square", "residuals"): (0, "349fadab2487d217"),
+    ("orlicz_square", "witness"): (2, "175ec17f77160285"),
+    ("orlicz_square", "report"): (0, "65483e14fe73cee3"),
+    ("quarter", "indices"): (0, "04ce301edf26df44"),
+    ("quarter", "spectrum"): (0, "691c13e791843e57"),
+    ("quarter", "probe"): (0, "c1e2bd3f8f41631a"),
+    ("quarter", "residuals"): (0, "6ff79d8a50cd92fc"),
+    ("quarter", "witness"): (2, "175ec17f77160285"),
+    ("quarter", "report"): (0, "d1a834b3e712a058"),
+    ("witness", "indices"): (0, "b19b2d6ebf9e53b2"),
+    ("witness", "spectrum"): (0, "2a29db3e96e80877"),
+    ("witness", "probe"): (0, "8a63583f3c2abc21"),
+    ("witness", "residuals"): (0, "b41466e04abdd553"),
+    ("witness", "witness"): (0, "8b48b8c3a29b3e99"),
+    ("witness", "report"): (0, "0c7bcb42ce8e5637"),
+}
+
+
+def test_data_configs_print_the_recorded_bytes_twice(capsys, datadir):
+    got = {}
+    for config, command in DATA_OUTPUTS:
+        path = str(datadir / f"config_{config}.json")
+        first = run(capsys, command, "--config", path)
+        assert run(capsys, command, "--config", path) == first
+        code, out, err = first
+        got[config, command] = (code, hashlib.sha256((out + "\0" + err).encode()).hexdigest()[:16])
+    assert got == DATA_OUTPUTS
+    configs = {p.stem[len("config_") :] for p in datadir.glob("config_*.json")}
+    assert {c for c, _ in DATA_OUTPUTS} == configs

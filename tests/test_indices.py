@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispect import (
     IndexSet,
@@ -22,6 +24,7 @@ from rispect import (
     ratio_sup,
     shift,
 )
+from rispect.indices import _EXPONENTS
 
 ANALYTIC = {
     # six shipped fixtures: (space fixture name, expected six-tuple)
@@ -174,6 +177,68 @@ def test_power_log_estimate_converges():
         assert abs(g - 0.5) <= est.meta["est_error"] + 0.04
     wider = estimate_indices(block_weights(sp, -512, 512), 128)
     assert abs(wider.beta - 0.5) < abs(est.beta - 0.5)
+
+
+# Steps s_{k+1}/s_k in [1, 2]: a few exact values give tied ratio sups, free
+# floats ratios that rise and fall along k.
+step_ratio = st.one_of(st.sampled_from([1.0, 1.25, 1.5, 2.0]), st.floats(1.0, 2.0))
+
+
+@st.composite
+def weight_seqs(draw) -> WeightSeq:
+    """Positive weights on windows straddling 0, wholly above it (k_min > 0)
+    or wholly below it (k_max < 0)."""
+    width = draw(st.integers(4, 48))
+    k_min = draw(st.integers(-60, 30))
+    steps = draw(st.lists(step_ratio, min_size=width, max_size=width))
+    s = np.cumprod([draw(st.floats(1e-3, 1e3))] + steps)
+    return WeightSeq(k_min, k_min + width, s)
+
+
+def reference_per_n(w: WeightSeq, n_max: int) -> dict[str, list[float]]:
+    """The sup series as one ratio_sup call per (name, n), names outermost."""
+    inner = w.window(w.k_min + n_max, w.k_max - n_max)
+    return {
+        name: [
+            sign * math.log2(ratio_sup(inner, n, region, direction)) / n
+            for n in range(1, n_max + 1)
+        ]
+        for name, (region, direction, sign) in _EXPONENTS.items()
+    }
+
+
+# At n_max = 1 the diagnostic regression fits a line to one point.
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@settings(max_examples=200)
+@given(data=st.data())
+def test_estimate_indices_equal_ratio_sup_loop(data):
+    """The one pass per n gives per_n, the six estimates and est_error bit for
+    bit, and an empty region raises the message the loop raises first."""
+    w = data.draw(weight_seqs())
+    n_max = data.draw(st.integers(1, w.width // 4))
+    try:
+        want = reference_per_n(w, n_max)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            estimate_indices(w, n_max)
+        assert str(got.value) == str(exc)
+        return
+    est = estimate_indices(w, n_max)
+    assert est.meta["per_n"] == want
+    assert est.as_dict() == {name: min(1.0, max(0.0, series[-1])) for name, series in want.items()}
+    half = max(1, n_max // 2)
+    assert est.meta["est_error"] == max(abs(v[-1] - v[half - 1]) for v in want.values())
+
+
+def test_estimate_indices_empty_region_messages():
+    flat = np.ones(21)
+    with pytest.raises(ValueError, match=r"^window too small for n=1 in region 'zero'$"):
+        estimate_indices(WeightSeq(5, 25, flat), 4)
+    with pytest.raises(ValueError, match=r"^window too small for n=1 in region 'infinity'$"):
+        estimate_indices(WeightSeq(-25, -5, flat), 4)
+    # Inner window [-2, 15]: the zero region holds k + n <= 0 up to n = 2.
+    with pytest.raises(ValueError, match=r"^window too small for n=3 in region 'zero'$"):
+        estimate_indices(WeightSeq(-6, 19, np.ones(26)), 4)
 
 
 def test_estimate_requires_wide_window(quarter):
