@@ -296,15 +296,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 def _index_json(ix: IndexSet, with_meta: bool = True) -> dict:
     out = dict(ix.as_dict())
     if with_meta and ix.meta:
-        meta = {
-            "method": ix.meta.get("method"),
-            "n_max": ix.meta.get("n_max"),
-            "k_range": ix.meta.get("k_range"),
-            "est_error": ix.meta.get("est_error"),
-            "regression_slope": ix.meta.get("regression_slope"),
-            "per_n": ix.meta.get("per_n"),
-        }
-        out["meta"] = {k: v for k, v in meta.items() if v is not None}
+        out["meta"] = ix.meta
     return out
 
 

@@ -16,13 +16,12 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .spaces import Lorentz, Orlicz, PiecewisePower, PurePower, SpaceSpec, fundamentals
+from .spaces import Lorentz, Orlicz, SpaceSpec, fundamentals
 
 __all__ = [
     "WeightSeq",
     "IndexSet",
     "block_weights",
-    "ratio_sup",
     "estimate_indices",
     "analytic_indices",
 ]
@@ -82,7 +81,9 @@ def block_weights(space: SpaceSpec, k_min: int, k_max: int) -> WeightSeq:
 
 
 def _region_bounds(w: WeightSeq, n: int, region: Region) -> tuple[int, int]:
-    """First and last admissible k for ratio_sup(w, n, region, ...)."""
+    """First and last k whose ratio s_{k+n}/s_k enters the sup over region:
+    k and k+n inside the window, and inside the half-axis for the restricted
+    regions, k+n <= 0 for "zero" and k >= 0 for "infinity"."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > w.width // 2:
@@ -99,25 +100,9 @@ def _region_bounds(w: WeightSeq, n: int, region: Region) -> tuple[int, int]:
     return lo, hi
 
 
-def ratio_sup(w: WeightSeq, n: int, region: Region, direction: Direction) -> float:
-    """sup over admissible k of s_{k+n}/s_k (up) or s_k/s_{k+n} (down).
-
-    Admissible k keeps both k and k+n inside the window, and inside the
-    half-axis for the restricted regions: k+n <= 0 for "zero", k >= 0 for
-    "infinity".
-    """
-    lo, hi = _region_bounds(w, n, region)
-    base = w.s[lo - w.k_min : hi - w.k_min + 1]
-    shifted = w.s[lo + n - w.k_min : hi + n - w.k_min + 1]
-    if direction == "up":
-        return float(np.max(shifted / base))
-    if direction == "down":
-        return float(np.max(base / shifted))
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 # name -> (region, direction, sign), in IndexSet field order; the index
-# estimate at window n is sign * log2(ratio_sup)/n.
+# estimate at window n is sign * log2(sup)/n, the sup over the region of
+# s_{k+n}/s_k (up) or s_k/s_{k+n} (down).
 _EXPONENTS: dict[str, tuple[Region, Direction, float]] = {
     "alpha": ("all", "down", -1.0),
     "beta": ("all", "up", 1.0),
@@ -182,8 +167,8 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
         raise ValueError(f"n_max={n_max} needs window width >= {4 * n_max}, got {w.width}")
     inner = w.window(w.k_min + n_max, w.k_max - n_max)
     # One pass per n: both ratio arrays once, then each sup over its region's
-    # slice, bit for bit ratio_sup(inner, n, region, direction).  Bounds come
-    # region by region, then n, so an empty region raises ratio_sup's first error.
+    # slice.  Bounds come region by region, then n, so an empty region raises
+    # the error of the first (region, n) in that order.
     regions = dict.fromkeys(region for region, _, _ in _EXPONENTS.values())
     bounds = {r: [_region_bounds(inner, n, r) for n in range(1, n_max + 1)] for r in regions}
     per_n: dict[str, list[float]] = {name: [] for name in _EXPONENTS}
@@ -206,40 +191,35 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
         rs = np.array(series[half - 1 :]) * ns
         regression[name] = float(np.polyfit(ns, rs, 1)[0])
 
+    # In the order the CLI prints it.
     meta = {
         "method": "fekete",
         "n_max": n_max,
         "k_range": [w.k_min, w.k_max],
-        "per_n": per_n,
-        "regression_slope": regression,
         "est_error": est_error,
+        "regression_slope": regression,
+        "per_n": per_n,
     }
     return IndexSet(meta=meta, **estimates)
 
 
 def analytic_indices(space: SpaceSpec) -> Optional[IndexSet]:
-    """Closed-form indices for power-type parameter functions, else None.
+    """Closed-form indices where the function states its exponents, else None.
 
-    Lorentz: branch exponents of psi divided by q.  Orlicz: reciprocals of
-    N's branch exponents, with the branches swapping regions because the
-    fundamental function inverts N at 1/t.
+    Lorentz: the exponents of psi divided by q.  Orlicz: reciprocals of N's
+    exponents, with the branches swapping regions because the fundamental
+    function inverts N at 1/t.
     """
     if isinstance(space, Lorentz):
-        fn = space.psi
-        if isinstance(fn, PurePower):
-            e0 = e_inf = fn.a / space.q
-        elif isinstance(fn, PiecewisePower):
-            e0, e_inf = fn.a0 / space.q, fn.a_inf / space.q
-        else:
+        e = space.psi.exponents()
+        if e is None:
             return None
+        e0, e_inf = e[0] / space.q, e[1] / space.q
     elif isinstance(space, Orlicz):
-        fn = space.N
-        if isinstance(fn, PurePower):
-            e0 = e_inf = 1.0 / fn.a
-        elif isinstance(fn, PiecewisePower):
-            e0, e_inf = 1.0 / fn.a_inf, 1.0 / fn.a0
-        else:
+        e = space.N.exponents()
+        if e is None:
             return None
+        e0, e_inf = 1.0 / e[1], 1.0 / e[0]
     else:
         raise TypeError(f"unknown space spec {space!r}")
     return IndexSet(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -30,11 +30,8 @@ __all__ = [
     "Lorentz",
     "Orlicz",
     "SpaceSpec",
-    "orlicz_inverse",
     "fundamental",
     "fundamentals",
-    "lorentz_norm",
-    "luxemburg_norm",
     "space_norm",
     "space_norms",
     "block_norm",
@@ -71,6 +68,16 @@ class FnSpec(ABC):
     def value(self, t):
         """Evaluate at a positive float or numpy array."""
 
+    def exponents(self) -> Optional[tuple[float, float]]:
+        """(e0, e_inf) when the function is exactly t**e0 on (0, 1] and
+        t**e_inf on [1, inf), else None."""
+        return None
+
+    def slopes(self) -> Optional[tuple[float, ...]]:
+        """Log-log slopes of the pieces from t -> 0 to t -> inf when every
+        piece is a power c * t**s, else None."""
+        return self.exponents()
+
 
 @dataclass(frozen=True)
 class PurePower(FnSpec):
@@ -83,6 +90,9 @@ class PurePower(FnSpec):
 
     def value(self, t):
         return np.power(t, self.a)
+
+    def exponents(self) -> tuple[float, float]:
+        return self.a, self.a
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,9 @@ class PiecewisePower(FnSpec):
         t = np.asarray(t, dtype=float)
         out = np.where(t <= 1.0, np.power(t, self.a0), np.power(t, self.a_inf))
         return out if out.ndim else float(out)
+
+    def exponents(self) -> tuple[float, float]:
+        return self.a0, self.a_inf
 
 
 @dataclass(frozen=True)
@@ -145,19 +158,23 @@ class TableFn(FnSpec):
             if not v2 > v1:
                 raise ValueError(f"table values must increase, got {v1} then {v2}")
         object.__setattr__(self, "points", pts)
+        # Not dataclass fields, which are the JSON fields: the log knots and
+        # the slopes of the low extrapolation, each piece and the high one.
+        lts, lvs = np.log([t for t, _ in pts]), np.log([v for _, v in pts])
+        s = (np.diff(lvs) / np.diff(lts)).tolist()
+        object.__setattr__(self, "_loglog", (lts, lvs, (s[0], *s, s[-1])))
 
     def value(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        lt = np.log(t_arr)
-        lts = np.log([p[0] for p in self.points])
-        lvs = np.log([p[1] for p in self.points])
+        lt = np.log(np.asarray(t, dtype=float))
+        lts, lvs, s = self._loglog
         out = np.interp(lt, lts, lvs)
-        slope_lo = (lvs[1] - lvs[0]) / (lts[1] - lts[0])
-        slope_hi = (lvs[-1] - lvs[-2]) / (lts[-1] - lts[-2])
-        out = np.where(lt < lts[0], lvs[0] + slope_lo * (lt - lts[0]), out)
-        out = np.where(lt > lts[-1], lvs[-1] + slope_hi * (lt - lts[-1]), out)
+        out = np.where(lt < lts[0], lvs[0] + s[0] * (lt - lts[0]), out)
+        out = np.where(lt > lts[-1], lvs[-1] + s[-1] * (lt - lts[-1]), out)
         out = np.exp(out)
         return out if out.ndim else float(out)
+
+    def slopes(self) -> tuple[float, ...]:
+        return self._loglog[2]
 
 
 _ROLE_GRID = 2.0 ** np.arange(-60, 61, dtype=float)
@@ -176,25 +193,22 @@ def _grid_values(fn: FnSpec, role: str) -> np.ndarray:
 
 
 def _check_psi_role(fn: FnSpec) -> None:
-    """Quasi-concavity on the dyadic grid: v increasing, v(t)/t decreasing."""
+    """Quasi-concavity, v increasing and v(t)/t nonincreasing: exact where the
+    kind states its log-log slopes (each at most 1), and on the dyadic grid."""
     v = _grid_values(fn, "parameter function")
-    ratio = v / _ROLE_GRID
-    if not np.all(ratio[1:] <= ratio[:-1] * (1 + 1e-9)):
+    s, ratio = fn.slopes(), v / _ROLE_GRID
+    if (s is not None and max(s) > 1 + 1e-9) or not np.all(ratio[1:] <= ratio[:-1] * (1 + 1e-9)):
         raise ValueError("parameter function fails quasi-concavity (v(t)/t must not increase)")
 
 
 def _check_orlicz_role(fn: FnSpec) -> None:
-    """Convexity on the dyadic grid plus increase through 0 and to infinity."""
-    if isinstance(fn, PurePower) and fn.a < 1:
-        raise ValueError(f"orlicz function needs exponent >= 1, got {fn.a}")
-    if isinstance(fn, PiecewisePower):
-        if fn.a0 < 1 or fn.a_inf < 1:
-            raise ValueError("orlicz function needs both exponents >= 1")
-        if fn.a0 > fn.a_inf:
-            raise ValueError(
-                f"orlicz piecewise_power needs a0 <= a_inf, got {fn.a0} > {fn.a_inf}"
-            )
+    """Convexity plus increase through 0 and to infinity: exact where the kind
+    states its log-log slopes (1 <= s_0 <= ... <= s_last, since N' must not
+    drop at a knot), and midpoint convexity on the dyadic grid."""
     v = _grid_values(fn, "orlicz function")
+    s = fn.slopes()
+    if s is not None and not all(a <= b * (1 + 1e-9) for a, b in zip((1.0, *s), s)):
+        raise ValueError(f"orlicz function needs log-log slopes 1 <= s_0 <= s_1 <= ..., got {s}")
     mids = 0.5 * (_ROLE_GRID[:-1] + _ROLE_GRID[1:])
     vm = np.asarray(fn.value(mids), dtype=float)
     if not np.all(vm <= 0.5 * (v[:-1] + v[1:]) * (1 + 1e-9)):
@@ -253,8 +267,8 @@ def _bisect_rows(below, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, tol: f
 # arithmetic does; callers turn a non-finite result into NumericalError.
 @np.errstate(over="ignore")
 def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
-    """Element i solves N(t) = u[i] for t > 0; closed form for power kinds,
-    else bisection.
+    """Element i solves N(t) = u[i] for t > 0; closed form where N states its
+    exponents, else bisection.
 
     The bisection starts at lo = hi = 1, doubles hi while N(hi) < u, halves
     lo while N(lo) > u, and bisects with _bisect_rows to INV_REL_TOL.
@@ -264,10 +278,9 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"positive u required, got {us[int(np.argmax(bad))]}")
     # Python float pow per element: the array power rounds differently in the last ulp.
-    if isinstance(N, PurePower):
-        return np.array([x ** (1.0 / N.a) for x in us])
-    if isinstance(N, PiecewisePower):
-        return np.array([x ** (1.0 / N.a0) if x <= 1.0 else x ** (1.0 / N.a_inf) for x in us])
+    e = N.exponents()
+    if e is not None:
+        return np.array([x ** (1.0 / e[0]) if x <= 1.0 else x ** (1.0 / e[1]) for x in us])
 
     def value(t: np.ndarray) -> np.ndarray:
         return np.asarray(N.value(t), dtype=float)
@@ -294,11 +307,6 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
         side = "above" if stuck_above[i] else "below"
         raise NumericalError(f"failed to bracket N inverse {side} for u={us[i]}")
     return _bisect_rows(lambda t, r: value(t) < u[r], lo, hi, every, INV_REL_TOL)
-
-
-def orlicz_inverse(N: FnSpec, u: float) -> float:
-    """Solve N(t) = u for t > 0; closed form for power kinds, else bisection."""
-    return float(_inverse_rows(N, np.array([u], dtype=float))[0])
 
 
 def fundamentals(space: SpaceSpec, t) -> np.ndarray:
@@ -331,28 +339,21 @@ def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpe
     return np.array([s ** (1.0 / q) for s in sums.tolist()])
 
 
-def lorentz_norm(d: Distribution, q: float, psi: FnSpec) -> float:
-    """(sum_i v_i**q * (psi(T_i) - psi(T_{i-1})))**(1/q) over the decreasing
-    profile of d with breakpoints T_i (psi(T_0) taken as 0)."""
-    if d.is_zero:
-        return 0.0
-    return float(_lorentz_rows(d.values, d.measures[None, :], q, psi)[0])
-
-
 @np.errstate(over="ignore", divide="ignore")
 def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
     """Row i: the root u of sum_j weights_ij * N(values_ij / u) = 1, which
     decreases in u; values is one row per weight row, or one row shared by all.
 
-    A pure power solves in closed form.  Otherwise each row starts from
-    u0 = max_j values_ij, doubles or halves until the modular crosses 1, and
+    N = t**a (equal exponents) solves in closed form.  Otherwise each row
+    starts from u0 = max_j values_ij, doubles or halves until the modular crosses 1, and
     bisects with _bisect_rows to LUX_REL_TOL.  Division by zero is silent
     too: a row halved down to u = 0 reads its modular as inf, and raises
     NumericalError once bracketing ends.
     """
-    if isinstance(N, PurePower):
-        sums = (weights * values**N.a).sum(axis=1)
-        return np.array([s ** (1.0 / N.a) for s in sums.tolist()])
+    e = N.exponents()
+    if e is not None and e[0] == e[1]:
+        sums = (weights * values ** e[0]).sum(axis=1)
+        return np.array([s ** (1.0 / e[0]) for s in sums.tolist()])
     values = np.broadcast_to(values, weights.shape)
 
     def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -387,13 +388,6 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         raise NumericalError("luxemburg bracketing underflows to u = 0")
     mids = _bisect_rows(lambda u, r: modular(u, r) >= 1.0, lo, hi, todo, LUX_REL_TOL)
     return np.where(m0 == 1.0, u0, mids)
-
-
-def luxemburg_norm(d: Distribution, N: FnSpec) -> float:
-    """inf{u > 0 : sum_i m_i * N(v_i / u) <= 1}."""
-    if d.is_zero:
-        return 0.0
-    return float(_luxemburg_rows(d.values, d.measures[None, :], N)[0])
 
 
 def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:

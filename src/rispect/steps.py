@@ -15,7 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "rearrange",
     "dyadic_embed",
     "dyadic_average",
-    "disjoint_sum",
     "dyadic_sample",
 ]
 
@@ -251,13 +250,6 @@ def dyadic_average(x: PositionedStep) -> Seq:
     return Seq({k: math.ldexp(s, -k) for k, s in sums.items()})
 
 
-def disjoint_sum(coeffs: Sequence[float], d: Distribution) -> Distribution:
-    """Distribution of sum_k a_k * x_k with the x_k disjointly supported copies
-    of a function with distribution d."""
-    [(values, measures)] = next(_disjoint_sum_chunks(np.array([coeffs], dtype=float), d))
-    return Distribution(np.column_stack((values, measures)))
-
-
 # Elements (rows x copies x base atoms) of the disjoint sums built at once.
 _CHUNK_ELEMS = 4096
 
@@ -266,8 +258,9 @@ def _disjoint_sum_chunks(
     coeffs: np.ndarray, d: Distribution
 ) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
     """Row i of coeffs (rows x copies) as the canonical (values, measures)
-    arrays of disjoint_sum(coeffs[i], d), yielded in chunks of rows of at
-    most about _CHUNK_ELEMS products.
+    arrays of the distribution of sum_j coeffs[i, j] * x_j, the x_j disjointly
+    supported copies of a function with distribution d, yielded in chunks of
+    rows of at most about _CHUNK_ELEMS products.
 
     Every product is checked before the first chunk, so a non-finite one
     raises Distribution's ValueError before any chunk is used.

@@ -108,9 +108,8 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
     Signs never matter: disjoint copies see only |a_j|.  The disjoint sums of
-    the nonzero probes are built as array rows a chunk at a time, each
-    bit-identical to disjoint_sum, and each chunk is normed through the row
-    kernels.
+    the nonzero probes are built as array rows a chunk at a time, and each
+    chunk is normed through the row kernels.
     """
     for a in probe_coeffs:
         if len(a) != fam.n_copies:

@@ -81,3 +81,19 @@ def test_span_tracer_hooks_resolve(tmp_path):
     table = tracer.layer_table()
     assert table
     assert table["steps.distribution"]["calls"] > 0
+
+
+FN_KINDS = {"PurePower", "PiecewisePower", "PowerLog", "TableFn"}
+
+
+def test_no_module_tests_for_a_function_kind_by_name():
+    """Each kind states its own facts (`exponents`, `slopes`), so no module
+    calls isinstance with a kind class, and indices imports none."""
+    for path in sorted((ROOT / "src" / "rispect").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                assert not named & FN_KINDS, f"{path.name}:{node.lineno}"
+    tree = ast.parse((ROOT / "src" / "rispect" / "indices.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & FN_KINDS

@@ -31,8 +31,6 @@ from rispect import (
     block_weights,
     fundamental,
     fundamentals,
-    lorentz_norm,
-    orlicz_inverse,
     space_norm,
     space_norms,
 )
@@ -177,10 +175,10 @@ def test_block_norms_equal_blockwise_norms(space, data):
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
 @given(atoms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-6, 1e6)), min_size=1, max_size=40))
 def test_lorentz_norm_is_the_direct_sum(psi, q, atoms):
-    """The one-row form gives the same bits as the direct 1-D formula."""
+    """One distribution's norm has the same bits as the direct 1-D formula."""
     d = Distribution(tuple(atoms))
     dpsi = np.diff(np.asarray(psi.value(np.cumsum(d.measures)), dtype=float), prepend=0.0)
-    assert lorentz_norm(d, q, psi) == float(np.sum(d.values**q * dpsi) ** (1.0 / q))
+    assert space_norm(Lorentz(q, psi), d) == float(np.sum(d.values**q * dpsi) ** (1.0 / q))
 
 
 @pytest.mark.parametrize("N", NS, ids=[N.kind for N in NS])
@@ -274,7 +272,7 @@ def test_space_norms_take_any_iterable(space, ds):
 
 
 def reference_inverse(N: FnSpec, u: float) -> float:
-    """orlicz_inverse as one scalar bisection per u, the form it had before
+    """_inverse_rows as one scalar bisection per u, the form it had before
     the array root solve."""
     if not u > 0:
         raise ValueError(f"positive u required, got {u}")
@@ -357,13 +355,13 @@ def test_inverse_bracket_failure_names_the_first_failing_u(us):
         _inverse_rows(Between(), np.array(us))
     assert str(got.value) == str(want.value)
     with pytest.raises(NumericalError, match="^failed to bracket N inverse below for u=0.25$"):
-        orlicz_inverse(Between(), 0.25)
+        _inverse_rows(Between(), np.array([0.25]))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_nonpositive_arguments_are_refused(bad):
     with pytest.raises(ValueError, match="positive u required"):
-        orlicz_inverse(NS[2], bad)
+        _inverse_rows(NS[2], np.array([bad]))
     for space in (SPACES[0], SPACES[14]):
         with pytest.raises(ValueError, match="positive t required"):
             fundamental(space, bad)

@@ -117,6 +117,24 @@ def test_witness_p_below_one(capsys, tmp_path):
         # Orlicz functions whose grid values overflow, rejected with no numpy warning.
         {"space": {"type": "orlicz", "N": {"kind": "pure_power", "a": 300}}},
         {"space": {"type": "orlicz", "N": {"kind": "power_log", "a": 1.5, "c": 400}}},
+        # Tables with a fault between the role grid's points: N' drops at
+        # t = 1.1, and psi(t)/t rises on [1, 1.1].
+        {
+            "space": {
+                "type": "orlicz",
+                "N": {"kind": "table", "points": [[1, 1], [1.1, 1.3], [1.15, 1.35], [2, 4]]},
+            }
+        },
+        {
+            "space": {
+                "type": "lorentz",
+                "q": 1,
+                "psi": {
+                    "kind": "table",
+                    "points": [[0.5, 0.5], [1, 1], [1.1, 1.25], [1.2, 1.3], [2, 1.6], [4, 2]],
+                },
+            }
+        },
         # JSON integers too large for a float.
         {"space": {"type": "lorentz", "q": 1, "psi": {"kind": "pure_power", "a": 10**400}}},
         {"lambda_grid": [1.5, 10**400]},
@@ -137,6 +155,8 @@ def test_witness_p_below_one(capsys, tmp_path):
         "n_random-negative",
         "orlicz-pure_power-300",
         "orlicz-power_log-1.5-400",
+        "orlicz-table-concave-knot",
+        "lorentz-table-rising-ratio",
         "psi-exponent-past-float-range",
         "lambda_grid-entry-past-float-range",
         "witness-theta-past-float-range",

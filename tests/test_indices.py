@@ -13,18 +13,19 @@ from rispect import (
     IndexSet,
     Lorentz,
     Orlicz,
+    PiecewisePower,
     PowerLog,
     PurePower,
     Seq,
+    TableFn,
     WeightSeq,
     analytic_indices,
     block_norm,
     block_weights,
     estimate_indices,
-    ratio_sup,
     shift,
 )
-from rispect.indices import _EXPONENTS
+from rispect.indices import _EXPONENTS, _region_bounds
 
 ANALYTIC = {
     # six shipped fixtures: (space fixture name, expected six-tuple)
@@ -39,6 +40,20 @@ ANALYTIC = {
 
 def as_tuple(ix: IndexSet) -> tuple[float, ...]:
     return (ix.alpha, ix.beta, ix.alpha0, ix.beta0, ix.alpha_inf, ix.beta_inf)
+
+
+def ratio_sup(w: WeightSeq, n: int, region: str, direction: str) -> float:
+    """sup over the region's admissible k of s_{k+n}/s_k (up) or s_k/s_{k+n}
+    (down), one sup per call: the reference for estimate_indices, which takes
+    all six sups of a window n in one pass."""
+    lo, hi = _region_bounds(w, n, region)
+    base = w.s[lo - w.k_min : hi - w.k_min + 1]
+    shifted = w.s[lo + n - w.k_min : hi + n - w.k_min + 1]
+    if direction == "up":
+        return float(np.max(shifted / base))
+    if direction == "down":
+        return float(np.max(base / shifted))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 # --- weight extraction ---------------------------------------------------------
@@ -160,12 +175,35 @@ def test_analytic_closed_forms(name, request):
     assert ix.meta["est_error"] == 0.0
 
 
-def test_analytic_unavailable_for_log_and_table():
-    assert analytic_indices(Lorentz(1, PowerLog(0.5, 1.0))) is None
-    from rispect import TableFn
+# Each (space type, function kind) pair: its six indices, exact in floating
+# point, or None where no closed form is implemented.  The Orlicz branches
+# swap: N's exponent at infinity gives the indices at zero.
+ANALYTIC_BY_KIND = {
+    "lorentz-pure_power": (Lorentz(2, PurePower(0.5)), (0.25,) * 6),
+    "lorentz-piecewise_power": (
+        Lorentz(2, PiecewisePower(0.25, 0.75)),
+        (0.125, 0.375, 0.125, 0.125, 0.375, 0.375),
+    ),
+    "lorentz-power_log": (Lorentz(1, PowerLog(0.5, 1.0)), None),
+    "lorentz-table": (
+        Lorentz(1, TableFn(((0.25, 0.5), (1.0, 1.0), (4.0, 2.0), (16.0, 4.0)))),
+        None,
+    ),
+    "orlicz-pure_power": (Orlicz(PurePower(4.0)), (0.25,) * 6),
+    "orlicz-piecewise_power": (
+        Orlicz(PiecewisePower(2.0, 4.0)),
+        (0.25, 0.5, 0.25, 0.25, 0.5, 0.5),
+    ),
+    "orlicz-power_log": (Orlicz(PowerLog(2.0, 1.0)), None),
+    "orlicz-table": (Orlicz(TableFn(((0.5, 0.25), (1.0, 1.0), (2.0, 6.0), (4.0, 48.0)))), None),
+}
 
-    tab = TableFn(((0.5, 0.70710678118654757), (1.0, 1.0), (2.0, 1.4142135623730951)))
-    assert analytic_indices(Lorentz(1, tab)) is None
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_BY_KIND))
+def test_analytic_indices_by_kind(name):
+    space, want = ANALYTIC_BY_KIND[name]
+    ix = analytic_indices(space)
+    assert (None if ix is None else as_tuple(ix)) == want
 
 
 def test_power_log_estimate_converges():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from rispect import Distribution, fn_from_json, lorentz_norm, luxemburg_norm
+from rispect import Distribution, Lorentz, Orlicz, fn_from_json, space_norm
 
 # Largest relative errors seen at these seeds: 5.8e-16 (Lorentz) and 4.5e-13
 # (Luxemburg, bisected to LUX_REL_TOL; closed-form pure_power 1.9e-16).
@@ -111,16 +111,16 @@ def rel_err(got: float, want: mpf) -> float:
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("psi", PSIS, ids=[p["kind"] for p in PSIS])
 def test_lorentz_norm_matches_mpmath(psi, q):
-    fn = fn_from_json(psi)
+    space = Lorentz(q, fn_from_json(psi))
     for d in random_distributions(11, 40):
         want = lorentz_reference(d.atoms, q, psi)
-        assert rel_err(lorentz_norm(d, q, fn), want) <= 1e-12
+        assert rel_err(space_norm(space, d), want) <= 1e-12
 
 
 @pytest.mark.parametrize("N", NS, ids=[N["kind"] for N in NS])
 def test_luxemburg_norm_matches_mpmath(N):
-    fn = fn_from_json(N)
+    space = Orlicz(fn_from_json(N))
     for d in random_distributions(12, 40):
         want = luxemburg_reference(d.atoms, N)
         # LUX_REL_TOL is 1e-12, so a bisected root is good to about that.
-        assert rel_err(luxemburg_norm(d, fn), want) <= 1e-11
+        assert rel_err(space_norm(space, d), want) <= 1e-11

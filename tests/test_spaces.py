@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rispect import (
@@ -23,14 +24,11 @@ from rispect import (
     SpecJSONError,
     TableFn,
     block_norm,
-    disjoint_sum,
     dyadic_sample_norm,
     fn_from_json,
     fn_to_json,
     fundamental,
-    lorentz_norm,
-    luxemburg_norm,
-    orlicz_inverse,
+    fundamentals,
     space_from_json,
     space_norm,
     space_to_json,
@@ -113,33 +111,106 @@ def test_lorentz_role_check():
 def test_orlicz_role_check():
     Orlicz(PurePower(2.0))
     Orlicz(PiecewisePower(1.5, 3.0))
+    Orlicz(PiecewisePower(2.0, 2.0))
     Orlicz(exp_table())
-    with pytest.raises(ValueError):
-        Orlicz(PurePower(0.5))  # concave
-    with pytest.raises(ValueError):
-        Orlicz(PiecewisePower(3.0, 1.5))  # convexity needs a0 <= a_inf
+
+
+@pytest.mark.parametrize(
+    "N, slopes",
+    [
+        (PurePower(0.5), "(0.5, 0.5)"),  # concave
+        (PiecewisePower(0.5, 2.0), "(0.5, 2.0)"),
+        (PiecewisePower(3.0, 1.5), "(3.0, 1.5)"),  # convexity needs a0 <= a_inf
+        (TableFn(((1.0, 1.0), (4.0, 2.0))), "(0.5, 0.5, 0.5)"),
+    ],
+)
+def test_orlicz_role_message_names_the_slopes(N, slopes):
+    want = f"orlicz function needs log-log slopes 1 <= s_0 <= s_1 <= ..., got {slopes}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        Orlicz(N)
+
+
+# Tables whose knots fall between the points of the dyadic role grid, so
+# that only the exact slope tests see their faults.
+CONCAVE_KNOT_N = TableFn(((1.0, 1.0), (1.1, 1.3), (1.15, 1.35), (2.0, 4.0)))
+RISING_RATIO_PSI = TableFn(
+    ((0.5, 0.5), (1.0, 1.0), (1.1, 1.25), (1.2, 1.3), (2.0, 1.6), (4.0, 2.0))
+)
+
+
+def test_table_role_checks_are_exact_between_grid_points():
+    # log-log slopes 2.75, 0.85, 1.96: N' drops at t = 1.1.
+    with pytest.raises(ValueError, match="^orlicz function needs log-log slopes"):
+        Orlicz(CONCAVE_KNOT_N)
+    # psi(t)/t rises from 1 to 1.136 on [1, 1.1].
+    with pytest.raises(ValueError, match="fails quasi-concavity"):
+        Lorentz(1, RISING_RATIO_PSI)
+    # Both pass the dyadic grid tests alone.
+    grid = 2.0 ** np.arange(-60, 61, dtype=float)
+    ratio = RISING_RATIO_PSI.value(grid) / grid
+    assert np.all(ratio[1:] <= ratio[:-1] * (1 + 1e-9))
+    v, vm = CONCAVE_KNOT_N.value(grid), CONCAVE_KNOT_N.value(0.5 * (grid[:-1] + grid[1:]))
+    assert np.all(vm <= 0.5 * (v[:-1] + v[1:]) * (1 + 1e-9))
+
+
+def test_table_slopes_run_from_zero_to_infinity():
+    f = TableFn(((1.0, 1.0), (2.0, 4.0), (4.0, 8.0)))
+    assert f.slopes() == pytest.approx((2.0, 2.0, 1.0, 1.0), rel=1e-15)
+    assert f.exponents() is None
+
+
+# Knots on the grid 2**(j/4); piece slopes in eighths, so none lies within
+# rounding of a role threshold other than exactly on it.
+@st.composite
+def grid_tables(draw) -> TableFn:
+    js = sorted(draw(st.sets(st.integers(-24, 24), min_size=2, max_size=7)))
+    slopes = draw(st.lists(st.integers(1, 24), min_size=len(js) - 1, max_size=len(js) - 1))
+    lv = [draw(st.integers(-8, 8)) / 4]
+    for (j1, j2), s in zip(zip(js, js[1:]), slopes):
+        lv.append(lv[-1] + s / 8 * (j2 - j1) / 4)
+    return TableFn(tuple((2.0 ** (j / 4), 2.0**v) for j, v in zip(js, lv)))
+
+
+def accepts(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200)
+@given(fn=grid_tables())
+def test_exact_table_roles_agree_with_a_dense_grid(fn):
+    """With every knot on the grid 2**(j/4), the log-log chords between grid
+    points are the piece slopes, so a dense-grid test is exact too."""
+    ts = 2.0 ** (np.arange(-40 * 4, 40 * 4 + 1) / 4)
+    chords = np.diff(np.log(fn.value(ts))) / np.diff(np.log(ts))
+    tol = 1 + 1e-9
+    assert accepts(lambda: Lorentz(1, fn)) == bool(np.all(chords <= tol))
+    convex = chords[0] * tol >= 1 and np.all(chords[:-1] <= chords[1:] * tol)
+    assert accepts(lambda: Orlicz(fn)) == bool(convex)
 
 
 # --- inverse and fundamental -------------------------------------------------
 
 
-def test_orlicz_inverse_closed_forms():
-    assert orlicz_inverse(PurePower(2.0), 4.0) == pytest.approx(2.0, rel=1e-15)
-    pw = PiecewisePower(1.5, 3.0)
-    assert orlicz_inverse(pw, 8.0) == pytest.approx(2.0, rel=1e-15)
-    assert orlicz_inverse(pw, 2.0**-3) == pytest.approx(2.0**-2, rel=1e-15)
+@pytest.mark.parametrize("N", [PurePower(2.0), PiecewisePower(1.5, 3.0), PiecewisePower(2.5, 2.5)])
+def test_orlicz_fundamentals_closed_forms_bit_for_bit(N):
+    """1 / N^-1(1/t), with x ** (1/e0) for x <= 1 and x ** (1/e_inf) above."""
+    e0, e_inf = N.exponents()
+    ts = [2.0**k for k in range(-40, 41)] + [0.3, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 7.5]
+    xs = [1.0 / t for t in ts]
+    want = [1.0 / (x ** (1.0 / e0) if x <= 1.0 else x ** (1.0 / e_inf)) for x in xs]
+    assert fundamentals(Orlicz(N), ts).tolist() == want
+    assert fundamental(Orlicz(N), 0.25) == pytest.approx(0.25 ** (1.0 / e_inf), rel=1e-15)
 
 
-def test_orlicz_inverse_bisection_against_forward():
+def test_orlicz_fundamental_bisection_inverts_N():
     f = exp_table()
     for u in (0.25, 1.0, 3.0, 40.0):
-        t = orlicz_inverse(f, u)
+        t = 1.0 / fundamental(Orlicz(f), 1.0 / u)
         assert float(f.value(t)) == pytest.approx(u, rel=1e-10)
-
-
-def test_orlicz_inverse_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        orlicz_inverse(PurePower(2.0), 0.0)
 
 
 def test_fundamental_examples(lorentz_sqrt, orlicz_square):
@@ -160,21 +231,22 @@ def test_fundamental_matches_indicator_norm(quarter, orlicz_piecewise):
 
 def test_lorentz_norm_l1_case():
     d = Distribution(((2.0, 1.0), (1.0, 2.0)))
-    assert lorentz_norm(d, 1, PurePower(1.0)) == 4.0
+    assert space_norm(Lorentz(1, PurePower(1.0)), d) == 4.0
 
 
 def test_lorentz_norm_l2_case():
     d = Distribution(((2.0, 1.0), (1.0, 2.0)))
-    assert lorentz_norm(d, 2, PurePower(1.0)) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+    assert space_norm(Lorentz(2, PurePower(1.0)), d) == pytest.approx(math.sqrt(6.0), rel=1e-15)
 
 
 def test_lorentz_norm_sqrt_parameter():
     d = Distribution(((2.0, 1.0), (1.0, 2.0)))
-    assert lorentz_norm(d, 1, PurePower(0.5)) == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-15)
+    want = 1.0 + math.sqrt(3.0)
+    assert space_norm(Lorentz(1, PurePower(0.5)), d) == pytest.approx(want, rel=1e-15)
 
 
 def test_lorentz_norm_zero():
-    assert lorentz_norm(Distribution(), 1, PurePower(1.0)) == 0.0
+    assert space_norm(Lorentz(1, PurePower(1.0)), Distribution()) == 0.0
 
 
 # --- Luxemburg norm -----------------------------------------------------------
@@ -182,16 +254,16 @@ def test_lorentz_norm_zero():
 
 def test_luxemburg_indicator():
     d = Distribution(((1.0, 4.0),))
-    assert luxemburg_norm(d, PurePower(2.0)) == pytest.approx(2.0, rel=1e-15)
+    assert space_norm(Orlicz(PurePower(2.0)), d) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_luxemburg_single_atom_unit_measure():
-    assert luxemburg_norm(Distribution(((3.0, 1.0),)), PurePower(2.0)) == pytest.approx(3.0)
+    assert space_norm(Orlicz(PurePower(2.0)), Distribution(((3.0, 1.0),))) == pytest.approx(3.0)
 
 
 def test_luxemburg_exponential_table():
     d = Distribution(((1.0, 1.0),))
-    assert luxemburg_norm(d, exp_table()) == pytest.approx(1.0 / math.log(2.0), rel=1e-10)
+    assert space_norm(Orlicz(exp_table()), d) == pytest.approx(1.0 / math.log(2.0), rel=1e-10)
 
 
 @given(atom_lists)
@@ -201,7 +273,7 @@ def test_luxemburg_root_residual(pairs):
     if d.is_zero:
         return
     N = PiecewisePower(1.5, 3.0)
-    u = luxemburg_norm(d, N)
+    u = space_norm(Orlicz(N), d)
     modular = float(np.sum(d.measures * np.asarray(N.value(d.values / u))))
     assert modular == pytest.approx(1.0, rel=1e-10)
 
@@ -289,9 +361,16 @@ def test_rearrangement_invariance(quarter, orlicz_piecewise):
 def test_lorentz_orlicz_agree_on_lp(pairs, q):
     """Lorentz with parameter t and Orlicz with N=t**q both give the L^q norm."""
     d = Distribution(tuple(pairs))
-    lo = lorentz_norm(d, q, PurePower(1.0))
-    lux = luxemburg_norm(d, PurePower(q))
+    lo = space_norm(Lorentz(q, PurePower(1.0)), d)
+    lux = space_norm(Orlicz(PurePower(q)), d)
     assert lo == pytest.approx(lux, rel=1e-10)
+
+
+@given(atom_lists, st.floats(min_value=1.0, max_value=4.0))
+def test_orlicz_equal_piecewise_exponents_is_the_pure_power(pairs, a):
+    """PiecewisePower(a, a) is t**a and takes the same closed-form root."""
+    d = Distribution(tuple(pairs))
+    assert space_norm(Orlicz(PiecewisePower(a, a)), d) == space_norm(Orlicz(PurePower(a)), d)
 
 
 # --- sampled-step chain -----------------------------------------------------------

@@ -19,14 +19,13 @@ from rispect import (
     Distribution,
     PositionedStep,
     Seq,
-    disjoint_sum,
     dyadic_average,
     dyadic_embed,
     dyadic_sample,
     rearrange,
 )
 from rispect.shifts import shift
-from rispect.steps import MERGE_REL_TOL, floor_log2
+from rispect.steps import MERGE_REL_TOL, _disjoint_sum_chunks, floor_log2
 
 def _close(x: float, y: float) -> bool:
     return abs(x - y) <= MERGE_REL_TOL * max(abs(x), abs(y))
@@ -68,6 +67,13 @@ def reference_seq_atoms(a: Seq) -> tuple[tuple[float, float], ...]:
 def reference_disjoint_sum(coeffs, d: Distribution) -> tuple[tuple[float, float], ...]:
     """reference_atoms of sum_k a_k * x_k, the x_k disjoint copies of d."""
     return reference_atoms((abs(c) * v, m) for c in coeffs if c != 0.0 for v, m in d.atoms)
+
+
+def disjoint_sum(coeffs, d: Distribution) -> Distribution:
+    """Distribution of sum_k a_k * x_k, the x_k disjoint copies of d, from a
+    one-row call of the witness row path."""
+    [(values, measures)] = next(_disjoint_sum_chunks(np.array([coeffs], dtype=float), d))
+    return Distribution(np.column_stack((values, measures)))
 
 
 atom_lists = st.lists(

@@ -18,7 +18,6 @@ from rispect import (
     PurePower,
     space_norm,
     build_witness,
-    disjoint_sum,
     distortion,
     lp_norm,
     standard_probes,
@@ -26,7 +25,7 @@ from rispect import (
 from rispect.spaces import _grouped_norms
 from rispect.steps import MERGE_REL_TOL, _CHUNK_ELEMS, _disjoint_sum_chunks
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
-from test_steps import reference_disjoint_sum
+from test_steps import disjoint_sum, reference_disjoint_sum
 
 
 def test_lp_norm_basics():
@@ -233,7 +232,7 @@ def families(draw) -> tuple[list[list[float]], Distribution]:
 @example(family=([CHAIN[:1] * 3, [1.0, -1.0, 1.0]], Distribution(tuple((v, 0.1) for v in CHAIN))))
 def test_row_path_atoms_equal_disjoint_sum(family):
     """Each row's values and measures are the scalar rule's disjoint sum, bit
-    for bit, and disjoint_sum, its one-row call, gives the same atoms."""
+    for bit, and a one-row call gives the same atoms."""
     coeffs, base = family
     got = row_path(coeffs, base)
     assert len(got) == len(coeffs)
