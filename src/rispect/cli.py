@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -272,9 +273,13 @@ def to_json_text(obj) -> str:
 
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe: close stdout, or Python flushes it again at exit
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+            raise ConfigError(f"cannot write output to stdout: {exc}") from exc
     else:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .spaces import fundamental
 from .steps import Seq
 
 __all__ = [
@@ -158,8 +159,6 @@ def solve_shift_minus(a: Seq, lam: float, tol: float, space) -> TruncatedSeq:
         raise ValueError(f"positive lam required, got {lam}")
     if not tol > 0:
         raise ValueError(f"positive tol required, got {tol}")
-    from .spaces import fundamental  # deferred: spaces builds on this module
-
     if a.is_zero:
         return TruncatedSeq(Seq(), 0.0)
 

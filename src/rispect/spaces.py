@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .shifts import shift
 from .steps import Distribution, Seq, dyadic_sample
 
 __all__ = [
@@ -263,50 +262,69 @@ def _bisect_rows(below, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, tol: f
     return 0.5 * (lo + hi)
 
 
-# The root and norm kernels below overflow to inf silently, as Python-float
-# arithmetic does; callers turn a non-finite result into NumericalError.
-@np.errstate(over="ignore")
-def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
-    """Element i solves N(t) = u[i] for t > 0; closed form where N states its
-    exponents, else bisection.
+def _pow_each(x: np.ndarray, e) -> np.ndarray:
+    """Element i is x[i] ** e[i], or x[i] ** e for one exponent e, in Python
+    floats: the array power rounds differently in the last ulp."""
+    return np.array(list(map(pow, x.tolist(), np.broadcast_to(e, x.shape).tolist())))
 
-    The bisection starts at lo = hi = 1, doubles hi while N(hi) < u, halves
-    lo while N(lo) > u, and bisects with _bisect_rows to INV_REL_TOL.
-    """
+
+@np.errstate(over="ignore")
+def _bracket_rows(excess, x0: np.ndarray, fail):
+    """Bracket each row's root, where excess(x, rows) turns from positive
+    (root above x) to negative: from x0, double x while the excess is
+    positive and halve it while negative (a NaN keeps a row going, downward
+    at x0), overflowing silently.  Returns (lo, hi, todo, e0): the brackets,
+    the rows to bisect and the excess at x0; a row with e0 == 0 is solved,
+    lo = hi = x0.  NumericalError(fail(i, side)) names the first row still
+    going after _MAX_BRACKET steps (side "above" or "below"), else the first
+    halved to 0 (side "zero")."""
+    every = np.arange(x0.size)
+    e0 = excess(x0, every)
+    up = e0 > 0.0
+    lo, hi = x0.copy(), x0.copy()
+    rows = todo = every[e0 != 0.0]
+    for _ in range(_MAX_BRACKET):
+        if not rows.size:
+            break
+        r_up, lo_r, hi_r = up[rows], lo[rows], hi[rows]
+        lo_r, hi_r = np.where(r_up, hi_r, 0.5 * lo_r), np.where(r_up, 2.0 * hi_r, lo_r)
+        lo[rows], hi[rows] = lo_r, hi_r
+        e = excess(np.where(r_up, hi_r, lo_r), rows)
+        rows = rows[np.where(r_up, ~(e <= 0.0), ~(e >= 0.0))]
+    if rows.size:
+        raise NumericalError(fail(rows[0], "above" if up[rows[0]] else "below"))
+    zero = todo[lo[todo] == 0.0]
+    if zero.size:
+        raise NumericalError(fail(zero[0], "zero"))
+    return lo, hi, todo, e0
+
+
+# The kernels below overflow to inf, and the roots divide by 0, silently;
+# callers turn a non-finite result into NumericalError.
+@np.errstate(over="ignore", divide="ignore")
+def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
+    """Element i solves N(t) = u[i] for t > 0: closed form where N states its
+    exponents, else _bracket_rows on u - N(t) from t = 1, widened to the
+    bracket [1, 2**j] or [2**-j, 1], and _bisect_rows to INV_REL_TOL."""
     us = u.tolist()
     bad = ~(u > 0)
     if bad.any():
         raise ValueError(f"positive u required, got {us[int(np.argmax(bad))]}")
-    # Python float pow per element: the array power rounds differently in the last ulp.
     e = N.exponents()
     if e is not None:
-        return np.array([x ** (1.0 / e[0]) if x <= 1.0 else x ** (1.0 / e[1]) for x in us])
+        return _pow_each(u, np.where(u <= 1.0, 1.0 / e[0], 1.0 / e[1]))
 
     def value(t: np.ndarray) -> np.ndarray:
         return np.asarray(N.value(t), dtype=float)
 
-    every = np.arange(u.size)
-    lo, hi = np.ones(u.size), np.ones(u.size)
-    # Negated tests as in a scalar loop that breaks on N(hi) >= u: NaN keeps going.
-    rows = every
-    for _ in range(_MAX_BRACKET):
-        rows = rows[~(value(hi[rows]) >= u[rows])]
-        if not rows.size:
-            break
-        hi[rows] *= 2.0
-    stuck_above = np.isin(every, rows)
-    rows = every
-    for _ in range(_MAX_BRACKET):
-        rows = rows[~(value(lo[rows]) <= u[rows])]
-        if not rows.size:
-            break
-        lo[rows] /= 2.0
-    stuck = stuck_above | np.isin(every, rows)
-    if stuck.any():
-        i = int(np.argmax(stuck))
-        side = "above" if stuck_above[i] else "below"
-        raise NumericalError(f"failed to bracket N inverse {side} for u={us[i]}")
-    return _bisect_rows(lambda t, r: value(t) < u[r], lo, hi, every, INV_REL_TOL)
+    def fail(i: int, side: str) -> str:
+        if side == "zero":
+            return f"N inverse bracketing underflows to t = 0 for u={us[i]}"
+        return f"failed to bracket N inverse {side} for u={us[i]}"
+
+    lo, hi, todo, _ = _bracket_rows(lambda t, r: u[r] - value(t), np.ones(u.size), fail)
+    lo, hi = np.minimum(lo, 1.0), np.maximum(hi, 1.0)
+    return _bisect_rows(lambda t, r: value(t) < u[r], lo, hi, todo, INV_REL_TOL)
 
 
 def fundamentals(space: SpaceSpec, t) -> np.ndarray:
@@ -316,8 +334,7 @@ def fundamentals(space: SpaceSpec, t) -> np.ndarray:
     if bad.any():
         raise ValueError(f"positive t required, got {t.tolist()[int(np.argmax(bad))]}")
     if isinstance(space, Lorentz):
-        psi_vals = np.asarray(space.psi.value(t), dtype=float).tolist()
-        return np.array([v ** (1.0 / space.q) for v in psi_vals])
+        return _pow_each(np.asarray(space.psi.value(t), dtype=float), 1.0 / space.q)
     return 1.0 / _inverse_rows(space.N, 1.0 / t)
 
 
@@ -334,9 +351,7 @@ def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpe
     psi_vals = np.asarray(psi.value(np.cumsum(measures, axis=1)), dtype=float)
     dpsi = psi_vals.copy()  # np.diff(psi_vals, prepend=0.0) per row, at a fraction of its cost
     dpsi[:, 1:] -= psi_vals[:, :-1]
-    sums = (values**q * dpsi).sum(axis=1)
-    # Python float pow per row: the array power rounds differently in the last ulp.
-    return np.array([s ** (1.0 / q) for s in sums.tolist()])
+    return _pow_each((values**q * dpsi).sum(axis=1), 1.0 / q)
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -345,15 +360,12 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     decreases in u; values is one row per weight row, or one row shared by all.
 
     N = t**a (equal exponents) solves in closed form.  Otherwise each row
-    starts from u0 = max_j values_ij, doubles or halves until the modular crosses 1, and
-    bisects with _bisect_rows to LUX_REL_TOL.  Division by zero is silent
-    too: a row halved down to u = 0 reads its modular as inf, and raises
-    NumericalError once bracketing ends.
+    brackets modular(u) - 1 from u0 = max_j values_ij with _bracket_rows and
+    bisects with _bisect_rows to LUX_REL_TOL; at u = 0 the modular is inf.
     """
     e = N.exponents()
     if e is not None and e[0] == e[1]:
-        sums = (weights * values ** e[0]).sum(axis=1)
-        return np.array([s ** (1.0 / e[0]) for s in sums.tolist()])
+        return _pow_each((weights * values ** e[0]).sum(axis=1), 1.0 / e[0])
     values = np.broadcast_to(values, weights.shape)
 
     def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -362,32 +374,14 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         terms = np.asarray(N.value(v / u[:, None]), dtype=float)
         return (w * terms).sum(axis=1)
 
-    every = np.arange(weights.shape[0])
+    def fail(i: int, side: str) -> str:
+        zero = "luxemburg bracketing underflows to u = 0"
+        return zero if side == "zero" else f"luxemburg bracketing failed {side}"
+
     u0 = values.max(axis=1)
-    m0 = modular(u0, every)
-    up = m0 > 1.0
-    lo = np.where(up, u0, 0.5 * u0)
-    hi = np.where(up, 2.0 * u0, u0)
-    rows = todo = every[m0 != 1.0]
-    for _ in range(_MAX_BRACKET):
-        if not rows.size:
-            break
-        r_up = up[rows]
-        m = modular(np.where(r_up, hi[rows], lo[rows]), rows)
-        # Negated tests, as in a scalar loop that breaks once the modular
-        # crosses 1: a NaN modular keeps a row going.
-        going = np.where(r_up, ~(m <= 1.0), ~(m >= 1.0))
-        rows, r_up = rows[going], r_up[going]
-        lo_r, hi_r = lo[rows], hi[rows]
-        lo[rows] = np.where(r_up, hi_r, 0.5 * lo_r)
-        hi[rows] = np.where(r_up, 2.0 * hi_r, lo_r)
-    if rows.size:
-        side = "above" if up[rows[0]] else "below"
-        raise NumericalError(f"luxemburg bracketing failed {side}")
-    if not lo[todo].all():
-        raise NumericalError("luxemburg bracketing underflows to u = 0")
+    lo, hi, todo, e0 = _bracket_rows(lambda u, r: modular(u, r) - 1.0, u0, fail)
     mids = _bisect_rows(lambda u, r: modular(u, r) >= 1.0, lo, hi, todo, LUX_REL_TOL)
-    return np.where(m0 == 1.0, u0, mids)
+    return np.where(e0 == 0.0, u0, mids)
 
 
 def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
@@ -453,8 +447,8 @@ def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
         return np.zeros(ks.size)
     if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
         raise ValueError("shifted block index outside the exact-measure range")
-    d = shift(a, -a.k_min).distribution()
-    return _norm_rows(space, d.values, np.ldexp(1.0, ks + a.k_min)[:, None] * d.measures)
+    d = a.distribution()
+    return _norm_rows(space, d.values, np.ldexp(1.0, ks)[:, None] * d.measures)
 
 
 def dyadic_sample_norm(space: SpaceSpec, d: Distribution) -> float:

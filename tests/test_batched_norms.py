@@ -37,9 +37,11 @@ from rispect import (
 from rispect.shifts import geometric_window, shift, shift_minus, squared_window
 from rispect.spaces import (
     _MAX_BISECT,
+    _MAX_BRACKET,
     INV_REL_TOL,
     LUX_REL_TOL,
     _bisect_rows,
+    _bracket_rows,
     _inverse_rows,
     _lorentz_rows,
     _luxemburg_rows,
@@ -358,6 +360,25 @@ def test_inverse_bracket_failure_names_the_first_failing_u(us):
         _inverse_rows(Between(), np.array([0.25]))
 
 
+def test_block_weights_bracket_up_and_down_rows_in_the_same_steps():
+    """Work count for the power_log weights on [-512, 512]: 711 N.value calls
+    when the rows above t = 1 and those below had a bracketing loop each."""
+    calls = []
+
+    @dataclass(frozen=True)
+    class Counting(PowerLog):
+        def value(self, t):
+            calls.append(np.size(t))
+            return super().value(t)
+
+    space = Orlicz(Counting(2.0, 1.0))
+    calls.clear()
+    got = block_weights(space, -512, 512).s
+    assert len(calls) <= 457
+    want = block_weights(Orlicz(PowerLog(2.0, 1.0)), -512, 512).s
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_nonpositive_arguments_are_refused(bad):
     with pytest.raises(ValueError, match="positive u required"):
@@ -424,6 +445,102 @@ def test_bisect_rows_equal_one_row_at_a_time(brackets, tol):
     assert (lo.tobytes(), hi.tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
     assert mids.tobytes() == (0.5 * (want_lo + want_hi)).tobytes()
     assert 0 not in calls and sorted(calls, reverse=True) == calls
+
+
+# --- the shared bracket: rows in both directions against one scalar loop per row ----------
+
+
+def reference_bracket(excess, x0: float) -> tuple[float, float, str | None]:
+    """One row of _bracket_rows as a scalar loop that picks its direction at
+    x0: the bracket, and the side _bracket_rows reports for it if it fails."""
+    lo = hi = x0
+    e0 = excess(x0)
+    if e0 == 0.0:
+        return lo, hi, None
+    up = e0 > 0.0
+    for _ in range(_MAX_BRACKET):
+        if up:
+            lo, hi = hi, 2.0 * hi
+            if excess(hi) <= 0.0:
+                break
+        else:
+            lo, hi = 0.5 * lo, lo
+            if excess(lo) >= 0.0:
+                break
+    else:
+        return lo, hi, "above" if up else "below"
+    return lo, hi, "zero" if lo == 0.0 else None
+
+
+NO_NAN = (math.inf, math.inf)
+# Row i's excess is (root - x) * scale, NaN on [nan_lo, nan_hi].  A root of
+# inf or -1 runs out of steps above or below, a root of 0 halves x to 0, a
+# root at x0 is solved there, and a large scale overflows to +-inf.
+bracket_rows = st.lists(
+    st.tuples(
+        st.one_of(
+            st.floats(1e-320, 1e300),
+            st.sampled_from([0.0, -1.0, math.inf, 1.0, 0.75, 5e-324]),
+        ),
+        st.sampled_from([1.0, 3.0, 1e300, 1e308]),
+        st.one_of(
+            st.just(NO_NAN),
+            st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)).map(sorted),
+            st.sampled_from([(0.0, 0.0), (1.0, 1.0), (1e300, math.inf)]),
+        ),
+        st.sampled_from([1.0, 0.75, 3.0, 1e-300, 1e300, 5e-324]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=60)
+@given(rows=bracket_rows)
+@example(
+    rows=[
+        (3.0, 1.0, NO_NAN, 1.0),  # up
+        (0.1, 1.0, NO_NAN, 1.0),  # down
+        (1.0, 1.0, NO_NAN, 1.0),  # solved at x0
+        (5.0, 1.0, (2.0, 2.0), 1.0),  # NaN on the way up keeps going
+        (2.0, 1.0, (1.0, 1.0), 1.0),  # NaN at x0 goes down
+        (3.0, 1e308, NO_NAN, 1.0),  # +-inf excess
+        (1e-320, 1.0, NO_NAN, 1.0),  # halves into the subnormals
+    ]
+)
+@example(rows=[(0.5, 1.0, NO_NAN, 1.0), (math.inf, 1.0, NO_NAN, 1.0)])  # out of steps above
+@example(rows=[(0.0, 1.0, NO_NAN, 1.0), (-1.0, 1.0, NO_NAN, 1.0)])  # below beats zero
+@example(rows=[(0.5, 1.0, NO_NAN, 1.0), (0.0, 1.0, NO_NAN, 3.0)])  # halves to 0
+def test_bracket_rows_equal_one_row_at_a_time(rows):
+    """Brackets bit for bit, or the failure of the first row that runs out of
+    steps, else of the first that halves to 0."""
+    root = np.array([r for r, _, _, _ in rows])
+    scale = np.array([s for _, s, _, _ in rows])
+    nan_lo = np.array([n[0] for _, _, n, _ in rows])
+    nan_hi = np.array([n[1] for _, _, n, _ in rows])
+    x0 = np.array([x for *_, x in rows])
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def excess(x, r):
+        e = (root[r] - x) * scale[r]
+        return np.where((nan_lo[r] <= x) & (x <= nan_hi[r]), math.nan, e)
+
+    want = [
+        reference_bracket(lambda x, i=i: float(excess(np.array([x]), np.array([i]))[0]), x)
+        for i, x in enumerate(x0.tolist())
+    ]
+    failures = [(side, i) for i, (_, _, side) in enumerate(want) if side is not None]
+    steps = [f for f in failures if f[0] != "zero"]
+    if failures:
+        side, i = (steps or failures)[0]
+        with pytest.raises(NumericalError, match=f"^{side} {i}$"):
+            _bracket_rows(excess, x0, lambda i, side: f"{side} {i}")
+        return
+    lo, hi, todo, e0 = _bracket_rows(excess, x0, lambda i, side: f"{side} {i}")
+    assert lo.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert hi.tobytes() == np.array([w[1] for w in want]).tobytes()
+    assert e0.tobytes() == excess(x0, np.arange(x0.size)).tobytes()
+    assert todo.tolist() == [i for i, e in enumerate(e0.tolist()) if e != 0.0]
 
 
 # --- random probes: batched ratios against one scalar ratio per probe -------------------

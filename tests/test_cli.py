@@ -7,7 +7,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -438,6 +442,46 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, target):
     assert len(err.splitlines()) == 1
 
 
+CLOSED_PIPE_ERR = "config error: cannot write output to stdout: [Errno 32] Broken pipe\n"
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_config_error(tmp_path, capsys, monkeypatch):
+    cfgpath = write_config(tmp_path)
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(["indices", "--config", cfgpath])
+    assert code == 2
+    assert capsys.readouterr().err == CLOSED_PIPE_ERR
+    assert pipe.closed
+
+
+def test_closed_stdout_pipe_exits_2(datadir):
+    """The reader closes its end before any output: one config error line,
+    exit 2, and nothing more when the interpreter flushes stdout at exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = str(datadir / "config_l1.json")
+    argv = [sys.executable, "-m", "rispect.cli", "indices", "--config", config]
+    proc = subprocess.Popen(
+        argv,
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == CLOSED_PIPE_ERR
+
+
 # --- goldens ------------------------------------------------------------------------------
 
 
@@ -624,6 +668,20 @@ def test_norm_underflow_is_numerical_failure(command, q, overrides, capsys, tmp_
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["indices", "spectrum"])
+def test_inverse_bracket_halving_to_zero_is_numerical_failure(command, capsys, tmp_path):
+    """N(t) = 1e30 t: from block 975 on, N(t) = 2**-k needs t below the
+    smallest subnormal, so the bracket of the block weight halves t to 0."""
+    space = {"type": "orlicz", "N": {"kind": "table", "points": [[1, 1e30], [2, 2e30]]}}
+    cfgpath = write_config(tmp_path, space=space, k_radius=1000, n_max=250)
+    code, out, err = run(capsys, command, "--config", cfgpath)
+    assert (code, out) == (3, "")
+    assert err == (
+        "numerical failure: N inverse bracketing underflows to t = 0 for u=3.13151306251402e-294\n"
+    )
 
 
 # --- the parser -----------------------------------------------------------------------
