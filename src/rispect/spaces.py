@@ -45,9 +45,11 @@ __all__ = [
 LUX_REL_TOL = 1e-12
 INV_REL_TOL = 1e-12
 _MAX_BISECT = 200
-# Doublings or halvings allowed when bracketing a root: block measures reach
+# Largest step count j of a bracket x0 * 2**+-j: block measures reach
 # 2**+-1000, which puts a root hundreds of doublings from its first guess.
+# The bracket search probes steps up to this cap.
 _MAX_BRACKET = 1100
+_TINY = np.finfo(float).tiny
 
 
 class NumericalError(ArithmeticError):
@@ -271,19 +273,75 @@ def _pow_each(x: np.ndarray, e) -> np.ndarray:
 @np.errstate(over="ignore")
 def _bracket_rows(excess, x0: np.ndarray, fail):
     """Bracket each row's root, where excess(x, rows) turns from positive
-    (root above x) to negative: from x0, double x while the excess is
-    positive and halve it while negative (a NaN keeps a row going, downward
-    at x0), overflowing silently.  Returns (lo, hi, todo, e0): the brackets,
-    the rows to bisect and the excess at x0; a row with e0 == 0 is solved,
-    lo = hi = x0.  NumericalError(fail(i, side)) names the first row still
-    going after _MAX_BRACKET steps (side "above" or "below"), else the first
-    halved to 0 (side "zero")."""
+    (root above x) to negative, as a scalar loop from x0 would: double x
+    while the excess is positive and halve it while negative (a NaN keeps a
+    row going, downward at x0), overflowing silently.  Returns (lo, hi,
+    todo, e0): the brackets, the rows to bisect and the excess at x0; a row
+    with e0 == 0 is solved, lo = hi = x0.  NumericalError(fail(i, side))
+    names the first row still going after _MAX_BRACKET steps (side "above"
+    or "below"), else the first halved to 0 (side "zero").
+
+    Instead of taking the steps one at a time, each row searches on its step
+    count j: it probes x0 * 2**+-p for p = 1, 2, 4, ... (one p for all rows,
+    capped at _MAX_BRACKET) until it stops, bisects j in (p/2, p] to the
+    first stopping step J, and takes the bracket x0 * 2**+-(J-1),
+    x0 * 2**+-J from np.ldexp.  In the normal range doubling and halving
+    are exact and an overflow is inf either way, so these are the loop's
+    bits.  The search finds the loop's J because the excess is nonincreasing
+    along the lattice x0 * 2**+-j apart from NaN: a convex N with N(0) = 0
+    has N(2t) >= 2 N(t), so each step moves N, and the modular, by a factor
+    of at least 2, which rounding cannot reverse.  A row whose probe reads
+    NaN (which the loop steps past) or lands below the smallest normal float
+    (where each halving rounds) takes the loop's steps from x0 instead."""
     every = np.arange(x0.size)
     e0 = excess(x0, every)
     up = e0 > 0.0
+    sign = np.where(up, 1, -1)
     lo, hi = x0.copy(), x0.copy()
-    rows = todo = every[e0 != 0.0]
-    for _ in range(_MAX_BRACKET):
+    todo = every[e0 != 0.0]
+    a, b = np.zeros(x0.size, dtype=int), np.zeros(x0.size, dtype=int)
+    slow, failed = [todo[:0]], []
+    rows, p, last = todo, 1, 0
+    while rows.size:  # gallop: step `last` goes on for every row still here
+        s = sign[rows]
+        x = np.ldexp(x0[rows], s * p)
+        e = excess(x, rows)
+        odd = np.isnan(e) | (x < _TINY)
+        stop = s * e <= 0.0
+        slow.append(rows[odd])
+        hit = rows[stop & ~odd]
+        a[hit], b[hit] = last, p
+        rows = rows[~(stop | odd)]
+        if p == _MAX_BRACKET:
+            failed.append(rows)
+            break
+        last, p = p, min(2 * p, _MAX_BRACKET)
+    rows = every[b > 0]
+    a_r, b_r = a[rows], b[rows]
+    stops = np.zeros(x0.size, dtype=int)
+    while rows.size:  # bisect: step a_r goes on, step b_r stops
+        fin = b_r - a_r == 1
+        if fin.any():
+            stops[rows[fin]] = b_r[fin]
+            keep = ~fin
+            rows, a_r, b_r = rows[keep], a_r[keep], b_r[keep]
+            if not rows.size:
+                break
+        mid = (a_r + b_r) // 2
+        s = sign[rows]
+        e = excess(np.ldexp(x0[rows], s * mid), rows)
+        stop = s * e <= 0.0
+        a_r, b_r = np.where(stop, a_r, mid), np.where(stop, mid, b_r)
+        odd = np.isnan(e)
+        if odd.any():
+            slow.append(rows[odd])
+            keep = ~odd
+            rows, a_r, b_r = rows[keep], a_r[keep], b_r[keep]
+    fast = every[stops > 0]
+    j = sign[fast] * stops[fast] - up[fast]
+    lo[fast], hi[fast] = np.ldexp(x0[fast], j), np.ldexp(x0[fast], j + 1)
+    rows = np.sort(np.concatenate(slow))
+    for _ in range(_MAX_BRACKET):  # the scalar loop's steps, row by row
         if not rows.size:
             break
         r_up, lo_r, hi_r = up[rows], lo[rows], hi[rows]
@@ -291,8 +349,10 @@ def _bracket_rows(excess, x0: np.ndarray, fail):
         lo[rows], hi[rows] = lo_r, hi_r
         e = excess(np.where(r_up, hi_r, lo_r), rows)
         rows = rows[np.where(r_up, ~(e <= 0.0), ~(e >= 0.0))]
-    if rows.size:
-        raise NumericalError(fail(rows[0], "above" if up[rows[0]] else "below"))
+    failed = np.concatenate([rows, *failed])
+    if failed.size:
+        i = failed.min()
+        raise NumericalError(fail(i, "above" if up[i] else "below"))
     zero = todo[lo[todo] == 0.0]
     if zero.size:
         raise NumericalError(fail(zero[0], "zero"))
@@ -328,14 +388,21 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
 
 
 def fundamentals(space: SpaceSpec, t) -> np.ndarray:
-    """Element i is the norm of the indicator of a set of measure t[i]."""
+    """Element i is the norm of the indicator of a set of measure t[i].  An
+    Orlicz space inverts N at 1/t, so there t below 2**-1024 is refused."""
     t = np.array(t, dtype=float, ndmin=1)
     bad = ~(t > 0)
     if bad.any():
         raise ValueError(f"positive t required, got {t.tolist()[int(np.argmax(bad))]}")
     if isinstance(space, Lorentz):
         return _pow_each(np.asarray(space.psi.value(t), dtype=float), 1.0 / space.q)
-    return 1.0 / _inverse_rows(space.N, 1.0 / t)
+    with np.errstate(over="ignore"):
+        u = 1.0 / t
+    bad = np.isinf(u)
+    if bad.any():
+        t_bad = t.tolist()[int(np.argmax(bad))]
+        raise ValueError(f"t with a finite reciprocal required, got {t_bad}")
+    return 1.0 / _inverse_rows(space.N, u)
 
 
 def fundamental(space: SpaceSpec, t: float) -> float:

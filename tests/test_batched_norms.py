@@ -8,6 +8,8 @@ loops the array kernels replaced; they stay as the tests' reference, and
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,10 +362,9 @@ def test_inverse_bracket_failure_names_the_first_failing_u(us):
         _inverse_rows(Between(), np.array([0.25]))
 
 
-def test_block_weights_bracket_up_and_down_rows_in_the_same_steps():
-    """Work count for the power_log weights on [-512, 512]: 711 N.value calls
-    when the rows above t = 1 and those below had a bracketing loop each."""
-    calls = []
+def counting_power_log() -> tuple[FnSpec, list[int]]:
+    """power_log(2, 1), and the list it appends the size of each N.value call to."""
+    calls: list[int] = []
 
     @dataclass(frozen=True)
     class Counting(PowerLog):
@@ -371,12 +372,51 @@ def test_block_weights_bracket_up_and_down_rows_in_the_same_steps():
             calls.append(np.size(t))
             return super().value(t)
 
-    space = Orlicz(Counting(2.0, 1.0))
+    return Counting(2.0, 1.0), calls
+
+
+def test_block_weights_bracket_up_and_down_rows_in_the_same_steps():
+    """Work count for the power_log weights on [-512, 512]: 217 N.value calls,
+    200 of them the bisection's, which stops at its cap.  The bracket took
+    457 when it stepped once per call, and 711 when the rows above t = 1 and
+    those below had a bracketing loop each."""
+    N, calls = counting_power_log()
+    space = Orlicz(N)
     calls.clear()
     got = block_weights(space, -512, 512).s
-    assert len(calls) <= 457
+    assert len(calls) <= 217
     want = block_weights(Orlicz(PowerLog(2.0, 1.0)), -512, 512).s
     assert got.tobytes() == want.tobytes()
+
+
+def test_luxemburg_rows_bracket_far_roots_by_search():
+    """Work count for 17 rows whose roots lie up to about 200 doublings from
+    u0: 57 N.value calls, 242 when the bracket stepped once per call.  Every
+    norm is the scalar root's."""
+    N, calls = counting_power_log()
+    values = np.array([3.0, 2.0, 1.0])
+    weights = np.ldexp(np.array([1.0, 2.0, 4.0]), np.arange(-400, 401, 50)[:, None])
+    got = _luxemburg_rows(values, weights, N)
+    assert len(calls) <= 57
+    assert got.tolist() == [reference_root(values, w, PowerLog(2.0, 1.0)) for w in weights]
+
+
+@pytest.mark.parametrize(
+    "N", [PurePower(2.0), PowerLog(2.0, 1.0)], ids=["closed_form", "bisection"]
+)
+def test_orlicz_fundamental_refuses_t_whose_reciprocal_overflows(N):
+    """N is inverted at u = 1/t, which is inf for t below 2**-1024: that t is
+    refused, by name and with no warning, for every kind; 2**-1020 solves."""
+    space = Orlicz(N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (5e-324, 2.0**-1024):
+            message = f"^t with a finite reciprocal required, got {re.escape(str(t))}$"
+            with pytest.raises(ValueError, match=message):
+                fundamental(space, t)
+        assert fundamental(space, 2.0**-1020) == reference_fundamental(space, 2.0**-1020)
+    if N.kind == "power_log":
+        assert fundamental(space, 2.0**-1020) == 5.593845860723245e-153
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -511,6 +551,16 @@ bracket_rows = st.lists(
 @example(rows=[(0.5, 1.0, NO_NAN, 1.0), (math.inf, 1.0, NO_NAN, 1.0)])  # out of steps above
 @example(rows=[(0.0, 1.0, NO_NAN, 1.0), (-1.0, 1.0, NO_NAN, 1.0)])  # below beats zero
 @example(rows=[(0.5, 1.0, NO_NAN, 1.0), (0.0, 1.0, NO_NAN, 3.0)])  # halves to 0
+@example(
+    rows=[
+        (5.0, 1.0, (10.0, 20.0), 1.0),  # a NaN only the search meets: (4, 8), not (16, 32)
+        (5.0, 1.0, (7.0, 9.0), 1.0),  # a NaN on the first stopping step: (8, 16)
+        (20.0, 1.0, (50.0, 100.0), 1.0),  # a NaN past it that only the bisection meets
+        (2.0**550, 1.0, NO_NAN, 2.0**-550),  # stops at step _MAX_BRACKET
+        (2e-310, 1.0, NO_NAN, 1.134364244112401),  # halves past 2**-1022, rounding each step
+    ]
+)
+@example(rows=[(math.nextafter(2.0**550, math.inf), 1.0, NO_NAN, 2.0**-550)])  # fails above
 def test_bracket_rows_equal_one_row_at_a_time(rows):
     """Brackets bit for bit, or the failure of the first row that runs out of
     steps, else of the first that halves to 0."""
