@@ -185,11 +185,13 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
     est_error = max(
         abs(series[-1] - series[half - 1]) for series in per_n.values()
     )
-    regression = {}
-    for name, series in per_n.items():
-        ns = np.arange(half, n_max + 1, dtype=float)
-        rs = np.array(series[half - 1 :]) * ns
-        regression[name] = float(np.polyfit(ns, rs, 1)[0])
+    # A line needs two points: at n_max = 1 every slope is None.
+    regression = dict.fromkeys(per_n)
+    if n_max > 1:
+        for name, series in per_n.items():
+            ns = np.arange(half, n_max + 1, dtype=float)
+            rs = np.array(series[half - 1 :]) * ns
+            regression[name] = float(np.polyfit(ns, rs, 1)[0])
 
     # In the order the CLI prints it.
     meta = {

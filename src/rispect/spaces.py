@@ -389,7 +389,8 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
 
 def fundamentals(space: SpaceSpec, t) -> np.ndarray:
     """Element i is the norm of the indicator of a set of measure t[i].  An
-    Orlicz space inverts N at 1/t, so there t below 2**-1024 is refused."""
+    Orlicz space inverts N at 1/t, so there t below 2**-1024 is refused, and
+    t = inf gives 1/N^-1(0) = inf."""
     t = np.array(t, dtype=float, ndmin=1)
     bad = ~(t > 0)
     if bad.any():
@@ -402,7 +403,9 @@ def fundamentals(space: SpaceSpec, t) -> np.ndarray:
     if bad.any():
         t_bad = t.tolist()[int(np.argmax(bad))]
         raise ValueError(f"t with a finite reciprocal required, got {t_bad}")
-    return 1.0 / _inverse_rows(space.N, u)
+    out, live = np.full(t.size, np.inf), u > 0.0
+    out[live] = 1.0 / _inverse_rows(space.N, u[live])
+    return out
 
 
 def fundamental(space: SpaceSpec, t: float) -> float:
@@ -472,25 +475,42 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     """Element i is the norm of the i-th distribution of ds, 0.0 when it is
     zero.  ds may be any iterable, such as a generator: only each
     distribution's value and measure arrays are kept."""
-    return _grouped_norms(space, ((d.values, d.measures) for d in ds))
+    return _grouped_norms(space, [(d.values, d.measures, None) for d in ds]).tolist()
 
 
-def _grouped_norms(space: SpaceSpec, rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """Element i is the norm of the i-th (values, measures) pair of canonical
-    atoms, 0.0 when it has none.  Pairs are grouped by atom count and each
-    group is normed as the rows of one array evaluation."""
-    out: list[float] = []
-    groups: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
-    for i, (values, measures) in enumerate(rows):
-        out.append(0.0)
-        if values.size:
-            idx, vs, ms = groups.setdefault(values.size, ([], [], []))
-            idx.append(i)
-            vs.append(values)
-            ms.append(measures)
-    for idx, vs, ms in groups.values():
-        for i, v in zip(idx, _norm_rows(space, np.array(vs), np.array(ms)).tolist()):
-            out[i] = v
+# Elements (rows x atoms) per row-kernel evaluation: of 2**12 to 2**15, 2**13
+# traded time against memory best on the probe benchmarks.
+_NORM_ELEMS = 2**13
+
+
+def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
+    """The norms of every request's rows, request after request.  Request
+    (values, measures, scales) is a distribution's canonical atoms, normed
+    with its measures times each scale, or once for scales None; no atoms
+    read 0.0.  The rows of all requests of one atom count are normed in
+    order, _NORM_ELEMS elements per evaluation; only the rows of the
+    evaluation at hand are built, C-contiguous."""
+    firsts, groups = [0], {}
+    for r, (values, _, scales) in enumerate(requests):
+        firsts.append(firsts[-1] + (1 if scales is None else scales.size))
+        if values.size and firsts[-1] > firsts[-2]:
+            groups.setdefault(values.size, []).append(r)
+    out = np.zeros(firsts[-1])
+    for width, idx in groups.items():
+        values = np.array([requests[r][0] for r in idx])
+        measures = np.array([requests[r][1] for r in idx])
+        scales = [requests[r][2] for r in idx]
+        scales = np.concatenate([np.ones(1) if s is None else s for s in scales])
+        dest = np.concatenate([np.arange(firsts[r], firsts[r + 1]) for r in idx])
+        owner = np.repeat(np.arange(len(idx)), [firsts[r + 1] - firsts[r] for r in idx])
+        budget = max(1, _NORM_ELEMS // width)
+        for a in range(0, dest.size, budget):
+            rows = owner[a : a + budget]
+            if rows[0] == rows[-1]:  # one request: its value row, shared
+                rows = rows[0]
+            out[dest[a : a + budget]] = _norm_rows(
+                space, values[rows], scales[a : a + budget, None] * measures[rows]
+            )
     return out
 
 
@@ -499,23 +519,22 @@ def block_norm(space: SpaceSpec, a: Seq) -> float:
     return space_norm(space, a.distribution())
 
 
-def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
-    """Element i is block_norm(space, shift(a, ks[i])), bit for bit.
-
-    Shifting a by k leaves its coefficient values, hence their decreasing
-    order and the merged atoms, independent of k; it only multiplies every
-    block measure by 2**k, which is exact in floating point.  So the
-    distribution is canonicalised once and its measures scaled per row, and
-    all rows are normed in one array evaluation.  Raises ValueError when a
-    shifted block leaves the exact-measure range |k| <= 1000.
-    """
+def _block_request(a: Seq, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The _grouped_norms request of the rows shift(a, k), k in ks: the shift
+    keeps the canonical atoms and scales every block measure by 2**k, exactly.
+    ValueError when a shifted block leaves the exact range |k| <= 1000."""
     ks = np.asarray(ks, dtype=int)
     if a.is_zero or not ks.size:
-        return np.zeros(ks.size)
+        return np.zeros(0), np.zeros(0), np.ones(ks.size)
     if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
         raise ValueError("shifted block index outside the exact-measure range")
     d = a.distribution()
-    return _norm_rows(space, d.values, np.ldexp(1.0, ks)[:, None] * d.measures)
+    return d.values, d.measures, np.ldexp(1.0, ks)
+
+
+def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
+    """Element i is block_norm(space, shift(a, ks[i])), bit for bit."""
+    return _grouped_norms(space, [_block_request(a, ks)])
 
 
 def dyadic_sample_norm(space: SpaceSpec, d: Distribution) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .indices import IndexSet, WeightSeq
 from .shifts import geometric_window, shift_minus, squared_window
-from .spaces import NumericalError, SpaceSpec, _grouped_norms, block_norm, block_norms
+from .spaces import NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
 from .steps import Seq, _canonical_rows
 
 __all__ = [
@@ -192,37 +192,36 @@ def _never_wins(r: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(r), np.inf, r)
 
 
-def _ratios(space: SpaceSpec, lam: float, a: Seq, ks: Sequence[int]) -> np.ndarray:
-    """||_image(b, lam)|| / ||b|| for b = shift(a, k), every k in ks, NaN read as inf."""
-    with np.errstate(invalid="ignore"):
-        return _never_wins(block_norms(space, _image(a, lam), ks) / block_norms(space, a, ks))
+def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks) -> list:
+    """The _grouped_norms requests, over all starts ks, of the windows of each
+    rate (outer) and n: the geometric window, its image under shift - lam,
+    the squared window, its image and the image of that.  The window at k is
+    the one at 0 shifted by k, so each is built once, at k = 0."""
+    ks = np.asarray(ks, dtype=int)
+    requests = []
+    for rate in rates:
+        for n in ns:
+            try:
+                geo = geometric_window(rate, 0, n)
+                sq = squared_window(rate, 0, n)
+            except OverflowError as exc:
+                raise NumericalError(f"window at rate {rate} overflows") from exc
+            image = _image(geo, lam)
+            t1 = _image(sq, lam)
+            requests += [_block_request(a, ks) for a in (geo, image, sq, t1, _image(t1, lam))]
+    return requests
 
 
-def _window_scan(
-    space: SpaceSpec, lam: float, rate: float, ns: Sequence[int], ks: Sequence[int]
-) -> list[tuple[int, float, int, str]]:
-    """(n, best ratio, argmin k, construction) per distinct n, ascending, for
-    windows of the given rate scored under shift - lam as in residual_curve.
-    The first strict minimum in k order wins, geometric before squared.
-
-    The window starting at k is shift(window at 0, k): its coefficient values
-    do not depend on k, and moving it by k scales every block measure by
-    2**k, exactly.  So each window and each image is built once, at k = 0,
-    and block_norms evaluates all k at once, bit for bit as k-by-k norms.
-    """
+def _window_scan(norms: np.ndarray, ns: Sequence[int], ks: Sequence[int]) -> list[tuple]:
+    """(n, best ratio, argmin k, construction) per n from the norms of one
+    rate's _scan_requests, scored as in residual_curve.  The first strict
+    minimum in k order wins, geometric before squared."""
     out = []
-    for n in sorted(set(int(n) for n in ns)):
-        try:
-            geo = geometric_window(rate, 0, n)
-            sq = squared_window(rate, 0, n)
-        except OverflowError as exc:
-            raise NumericalError(f"window at rate {rate} overflows") from exc
-        geometric = _ratios(space, lam, geo, ks)
-        t1 = _image(sq, lam)
-        norm_t1 = block_norms(space, t1, ks)
+    for n, (geo, image, sq, t1, t2) in zip(ns, norms.reshape(len(ns), 5, len(ks))):
         with np.errstate(invalid="ignore"):
-            r1 = norm_t1 / block_norms(space, sq, ks)
-            r2 = block_norms(space, _image(t1, lam), ks) / norm_t1
+            geometric = _never_wins(image / geo)
+            r1 = t1 / sq
+            r2 = t2 / t1
         # min(r1, r2) as Python's min takes it, NaN included.
         squared = _never_wins(np.where(r2 < r1, r2, r1))
         # At each k the squared window replaces the geometric one only when
@@ -266,7 +265,9 @@ def residual_curve(
     ks = sorted(set(int(k) for k in k_search))
     if not ks:
         raise ValueError("empty k_search")
-    return _curve(lam, ks, _window_scan(space, lam, lam, n_list, ks))
+    ns = sorted(set(int(n) for n in n_list))
+    norms = _grouped_norms(space, _scan_requests(lam, [lam], ns, ks))
+    return _curve(lam, ks, _window_scan(norms, ns, ks))
 
 
 def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,13 +290,10 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.nda
     return np.array(starts, dtype=int), rows[: len(starts)]
 
 
-def _probe_ratios(
-    space: SpaceSpec, lam: float, starts: np.ndarray, coeffs: np.ndarray
-) -> list[float]:
-    """||(shift - lam) a|| / ||a|| for every probe a of _random_probes, in
-    order.  Row i of the images holds (shift - lam) a on blocks starts[i],
-    starts[i] + 1, ..., computed as shift_minus computes it; both sets of
-    rows are canonicalised and normed as arrays."""
+def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> list:
+    """One-row _grouped_norms requests of the probes a of _random_probes, in
+    order, then of each (shift - lam) a, computed as shift_minus does on
+    blocks starts[i], starts[i] + 1, ...; both canonicalised as arrays."""
     padded = np.zeros((len(coeffs), RANDOM_MAX_LEN + 2))
     padded[:, 1:-1] = coeffs
     with np.errstate(over="ignore", invalid="ignore"):
@@ -303,9 +301,9 @@ def _probe_ratios(
     if not np.isfinite(images).all():
         raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
     measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))
-    norms = _grouped_norms(space, _canonical_rows(np.abs(coeffs), measures[:, :-1]))
-    image_norms = _grouped_norms(space, _canonical_rows(np.abs(images), measures))
-    return [num / den for num, den in zip(image_norms, norms)]
+    rows = _canonical_rows(np.abs(coeffs), measures[:, :-1])
+    rows += _canonical_rows(np.abs(images), measures)
+    return [(values, measures, None) for values, measures in rows]
 
 
 def probe_lower_bound(
@@ -328,22 +326,31 @@ def probe_lower_bound(
     if not lam > 0:
         raise ValueError(f"positive lam required, got {lam}")
     ks = range(cfg.k_lo, cfg.k_hi + 1)
-    best = math.inf
-    best_probe = None
-
-    units = _ratios(space, lam, Seq.unit(0), ks)
-    i = int(np.argmin(units))
-    if units[i] < best:
-        best, best_probe = float(units[i]), ("unit", ks[i])
-
     rates = [lam]
     if ix is not None:
         rates += [2.0**ix.alpha, 2.0**ix.beta]
     rates = sorted(set(rates))
+    ns = sorted(set(int(n) for n in cfg.n_values))
+    # One grouped evaluation: the unit vector and its image at every k, the
+    # windows of every rate, the random probes.
+    unit = Seq.unit(0)
+    requests = [_block_request(unit, ks), _block_request(_image(unit, lam), ks)]
+    requests += _scan_requests(lam, rates, ns, ks)
+    requests += _probe_requests(lam, *_random_probes(cfg, lam_index))
+    splits = [len(ks), 2 * len(ks), (2 + 5 * len(ns) * len(rates)) * len(ks)]
+    units, images, scans, probes = np.split(_grouped_norms(space, requests), splits)
+    best = math.inf
+    best_probe = None
+
+    with np.errstate(invalid="ignore"):
+        units = _never_wins(images / units)
+    i = int(np.argmin(units))
+    if units[i] < best:
+        best, best_probe = float(units[i]), ("unit", ks[i])
 
     per_n_best: dict[int, float] = {}
-    for rate in rates:
-        scan = _window_scan(space, lam, rate, cfg.n_values, ks)
+    for rate, rate_norms in zip(rates, np.split(scans, len(rates))):
+        scan = _window_scan(rate_norms, ns, ks)
         if rate == lam:
             curve = _curve(lam, ks, scan)
         for n, r, k, kind in scan:
@@ -351,7 +358,10 @@ def probe_lower_bound(
             if r < best:
                 best, best_probe = r, (kind, rate, k, n)
 
-    for i, r in enumerate(_probe_ratios(space, lam, *_random_probes(cfg, lam_index))):
+    probe_norms, image_norms = probes.reshape(2, -1)
+    with np.errstate(invalid="ignore"):
+        ratios = (image_norms / probe_norms).tolist()
+    for i, r in enumerate(ratios):
         if r < best:
             best, best_probe = r, ("random", i)
 
@@ -402,11 +412,9 @@ def kernel_witness_curve(
     """Norms of the truncated kernel candidate sum_{|n| <= M} lam**(-n) e_n."""
     if not lam > 0:
         raise ValueError(f"positive lam required, got {lam}")
-    out = []
-    for M in sorted(set(int(m) for m in m_values)):
-        a = Seq({n: lam ** (-n) for n in range(-M, M + 1)})
-        out.append((M, block_norm(space, a)))
-    return out
+    ms = sorted(set(int(m) for m in m_values))
+    seqs = [Seq({n: lam ** (-n) for n in range(-M, M + 1)}) for M in ms]
+    return list(zip(ms, space_norms(space, [a.distribution() for a in seqs])))
 
 
 def range_identity_check(a: Seq, lam: float) -> float:

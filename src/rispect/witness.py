@@ -118,7 +118,7 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     coeffs = np.array(live, dtype=float).reshape(len(live), fam.n_copies)
     nums: list[float] = []
     for rows in _disjoint_sum_chunks(coeffs, fam.base):
-        nums += _grouped_norms(fam.space, rows)
+        nums += _grouped_norms(fam.space, [(v, m, None) for v, m in rows]).tolist()
     worst = 1.0
     for a, num in zip(live, nums):
         ratio = num / lp_norm(a, fam.theta)

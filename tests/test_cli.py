@@ -482,6 +482,21 @@ def test_closed_stdout_pipe_exits_2(datadir):
     assert err.decode() == CLOSED_PIPE_ERR
 
 
+def test_indices_at_nmax_1_print_no_warning(datadir):
+    """At n_max = 1 the regression has one point: each regression_slope entry
+    is null, under the usual keys, and nothing reaches stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = str(datadir / "config_l1.json")
+    argv = [sys.executable, "-m", "rispect.cli", "indices", "--config", config, "--nmax", "1"]
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(argv, capture_output=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
+    meta = json.loads(proc.stdout)["estimated"]["meta"]
+    assert meta["regression_slope"] == dict.fromkeys(meta["per_n"])
+    assert list(meta["per_n"]) == ["alpha", "beta", "alpha0", "beta0", "alpha_inf", "beta_inf"]
+
+
 # --- goldens ------------------------------------------------------------------------------
 
 

@@ -245,8 +245,6 @@ def reference_per_n(w: WeightSeq, n_max: int) -> dict[str, list[float]]:
     }
 
 
-# At n_max = 1 the diagnostic regression fits a line to one point.
-@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 @settings(max_examples=200)
 @given(data=st.data())
 def test_estimate_indices_equal_ratio_sup_loop(data):

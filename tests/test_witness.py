@@ -217,7 +217,11 @@ def row_path(coeffs, base: Distribution) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def row_norms(space, coeffs, base: Distribution) -> list[float]:
     arr = np.array(coeffs, dtype=float)
-    return [n for rows in _disjoint_sum_chunks(arr, base) for n in _grouped_norms(space, rows)]
+    return [
+        n
+        for rows in _disjoint_sum_chunks(arr, base)
+        for n in _grouped_norms(space, [(v, m, None) for v, m in rows]).tolist()
+    ]
 
 
 @st.composite
