@@ -2,9 +2,10 @@
 
 Norms are evaluated exactly on finite step functions: the Lorentz functional
 integrates the decreasing profile against the parameter function, and the
-Orlicz (Luxemburg) norm is the root of the modular equation, found by
-bracketing + bisection.  Each space has one norm kernel, which norms many
-distributions at once as the rows of an array.
+Orlicz (Luxemburg) norm is the root of the modular equation, bracketed by the
+convexity of N and found by Illinois steps in log coordinates.  Each space
+has one norm kernel, which norms many distributions at once as the rows of an
+array.
 """
 
 from __future__ import annotations
@@ -42,9 +43,13 @@ __all__ = [
     "space_from_json",
 ]
 
-LUX_REL_TOL = 1e-12
 INV_REL_TOL = 1e-12
 _MAX_BISECT = 200
+# A Luxemburg root stops where |log modular| or its bracket in log u is at
+# most _ROOT_TOL (times |log u/u0| past 1): a relative error of about 1e-15
+# near u0.  Rows take 1 to 8 Illinois steps on the test spaces.
+_ROOT_TOL = 2.0**-50
+_MAX_ROOT = 100
 # Largest step count j of a bracket x0 * 2**+-j: block measures reach
 # 2**+-1000, which puts a root hundreds of doublings from its first guess.
 # The bracket search probes steps up to this cap.
@@ -276,8 +281,8 @@ def _bracket_rows(excess, x0: np.ndarray, fail):
     (root above x) to negative, as a scalar loop from x0 would: double x
     while the excess is positive and halve it while negative (a NaN keeps a
     row going, downward at x0), overflowing silently.  Returns (lo, hi,
-    todo, e0): the brackets, the rows to bisect and the excess at x0; a row
-    with e0 == 0 is solved, lo = hi = x0.  NumericalError(fail(i, side))
+    todo): the brackets and the rows to bisect; a row whose excess at x0 is
+    0 is solved, lo = hi = x0.  NumericalError(fail(i, side))
     names the first row still going after _MAX_BRACKET steps (side "above"
     or "below"), else the first halved to 0 (side "zero").
 
@@ -356,7 +361,7 @@ def _bracket_rows(excess, x0: np.ndarray, fail):
     zero = todo[lo[todo] == 0.0]
     if zero.size:
         raise NumericalError(fail(zero[0], "zero"))
-    return lo, hi, todo, e0
+    return lo, hi, todo
 
 
 # The kernels below overflow to inf, and the roots divide by 0, silently;
@@ -382,7 +387,7 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
             return f"N inverse bracketing underflows to t = 0 for u={us[i]}"
         return f"failed to bracket N inverse {side} for u={us[i]}"
 
-    lo, hi, todo, _ = _bracket_rows(lambda t, r: u[r] - value(t), np.ones(u.size), fail)
+    lo, hi, todo = _bracket_rows(lambda t, r: u[r] - value(t), np.ones(u.size), fail)
     lo, hi = np.minimum(lo, 1.0), np.maximum(hi, 1.0)
     return _bisect_rows(lambda t, r: value(t) < u[r], lo, hi, todo, INV_REL_TOL)
 
@@ -424,19 +429,64 @@ def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpe
     return _pow_each((values**q * dpsi).sum(axis=1), 1.0 / q)
 
 
-@np.errstate(over="ignore", divide="ignore")
+def _illinois_rows(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Element i is a root x of the decreasing f(x, rows) in row i's bracket
+    [a[i], b[i]], where f(a) = fa > 0 > fb = f(b).  Each step evaluates the
+    secant point of the bracket, or its midpoint where the secant reads NaN
+    or leaves the open bracket, and keeps the end on the root's side (a NaN
+    counts as the root lying below).  The Illinois rule halves the value at
+    an end kept for a second step running.  With tol = _ROOT_TOL * max(1,
+    |c|) at the point c of a step, a few ulps of c, the row stops at c when
+    |f(c)| <= tol, or at its bracket's midpoint once b - a <= tol; a row
+    whose bracket is one point x is solved there.  Active rows are kept
+    compact, shrinking when a row stops, so each takes the steps of a
+    one-row call.  A row still going after _MAX_ROOT steps raises
+    NumericalError."""
+    x = 0.5 * (a + b)
+    rows = np.flatnonzero(a < b)
+    a, b, fa, fb = a[rows], b[rows], fa[rows], fb[rows]
+    moved = np.zeros(rows.size)  # +1 when the last step moved a, -1 when b
+    for _ in range(_MAX_ROOT):
+        if not rows.size:
+            return x
+        c = a + fa * (b - a) / (fa - fb)
+        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
+        fc = f(c, rows)
+        up = fc > 0.0
+        side = np.where(up, 1.0, -1.0)
+        kept = np.where(moved == side, 0.5, 1.0)
+        a, fa = np.where(up, c, a), np.where(up, fc, kept * fa)
+        b, fb = np.where(up, b, c), np.where(up, kept * fb, fc)
+        moved, t = side, _ROOT_TOL * np.maximum(1.0, np.abs(c))
+        hit = np.abs(fc) <= t
+        stop = hit | (b - a <= t)
+        if stop.any():
+            x[rows[stop]] = np.where(hit, c, 0.5 * (a + b))[stop]
+            go = ~stop
+            rows, a, b, fa, fb, moved = rows[go], a[go], b[go], fa[go], fb[go], moved[go]
+    raise NumericalError(f"luxemburg root did not converge in the step cap {_MAX_ROOT}")
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
     """Row i: the root u of sum_j weights_ij * N(values_ij / u) = 1, which
     decreases in u; values is one row per weight row, or one row shared by all.
 
-    N = t**a (equal exponents) solves in closed form.  Otherwise each row
-    brackets modular(u) - 1 from u0 = max_j values_ij with _bracket_rows and
-    bisects with _bisect_rows to LUX_REL_TOL; at u = 0 the modular is inf.
+    N = t**a (equal exponents) solves in closed form.  Otherwise row i solves
+    f(x) = log modular(u0 * e**x) = 0 with _illinois_rows, u0 = max_j
+    values_ij.  N convex with N(0) = 0 has N(l t) >= l N(t) for l >= 1, so
+    f falls by at least d over every step d: the root lies between 0 and
+    f(0), and within |f(x)| of any x.  One evaluation at the far end
+    f(0) * (1 + 2**-30) confirms the bracket.  A row whose modular at u0 or
+    at the far end is not finite and positive, whose far end leaves the
+    normal floats, or whose far value does not change sign, is bracketed
+    from u0 by _bracket_rows instead, which names the failures.
     """
     e = N.exponents()
     if e is not None and e[0] == e[1]:
         return _pow_each((weights * values ** e[0]).sum(axis=1), 1.0 / e[0])
     values = np.broadcast_to(values, weights.shape)
+    u0 = values.max(axis=1)
 
     def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # rows is sorted and unique, so at full size it is every row: no gather.
@@ -444,14 +494,31 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         terms = np.asarray(N.value(v / u[:, None]), dtype=float)
         return (w * terms).sum(axis=1)
 
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.log(modular(u0[rows] * np.exp(x), rows))
+
     def fail(i: int, side: str) -> str:
         zero = "luxemburg bracketing underflows to u = 0"
         return zero if side == "zero" else f"luxemburg bracketing failed {side}"
 
-    u0 = values.max(axis=1)
-    lo, hi, todo, e0 = _bracket_rows(lambda u, r: modular(u, r) - 1.0, u0, fail)
-    mids = _bisect_rows(lambda u, r: modular(u, r) >= 1.0, lo, hi, todo, LUX_REL_TOL)
-    return np.where(e0 == 0.0, u0, mids)
+    every = np.arange(u0.size)
+    f0 = f(np.zeros(u0.size), every)
+    done = np.abs(f0) <= _ROOT_TOL  # solved at u0: the bracket [0, 0]
+    far = f0 * (1.0 + 2.0**-30)
+    u_far = u0 * np.exp(far)
+    rows = every[np.isfinite(f0) & ~done & (u_far >= _TINY) & (u_far < np.inf)]
+    f_far = np.full(u0.size, np.nan)
+    f_far[rows] = f(far[rows], rows)
+    up = f0 > 0.0
+    held = np.isfinite(f_far) & np.where(up, f_far < 0.0, f_far > 0.0)
+    a, b = np.where(held & ~up, far, 0.0), np.where(held & up, far, 0.0)
+    fa, fb = np.where(held & ~up, f_far, f0), np.where(held & up, f_far, f0)
+    slow = every[~(held | done)]
+    if slow.size:
+        lo, hi, _ = _bracket_rows(lambda u, r: modular(u, slow[r]) - 1.0, u0[slow], fail)
+        a[slow], b[slow] = np.log(lo / u0[slow]), np.log(hi / u0[slow])
+        fa[slow], fb[slow] = f(a[slow], slow), f(b[slow], slow)
+    return u0 * np.exp(_illinois_rows(f, a, b, fa, fb))
 
 
 def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:

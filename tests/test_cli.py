@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispect import NumericalError, build_witness, cli, distortion
+from rispect import NumericalError, build_witness, cli, distortion, spaces
 from rispect.cli import PROBE_CSV_HEADER, RESIDUAL_CSV_HEADER, main
 
 QUARTER = {"type": "lorentz", "q": 1, "psi": {"kind": "piecewise_power", "a0": 0.25, "a_inf": 0.75}}
@@ -207,8 +207,8 @@ def test_witness_block_range_bound_is_exact(capsys, tmp_path):
 
 
 def test_orlicz_residuals_at_far_blocks(capsys, tmp_path):
-    """Luxemburg roots of blocks near +-400 bracket: the root lies ~270
-    doublings above the largest value, past the bisection cap of 200."""
+    """Luxemburg roots of blocks near +-400 solve: the root lies ~270
+    doublings above the largest value, where the slope bound brackets it."""
     cfgpath = write_config(
         tmp_path,
         space={"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}},
@@ -220,7 +220,17 @@ def test_orlicz_residuals_at_far_blocks(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "residuals", "--config", cfgpath)
     assert code == 0
-    assert out.splitlines()[1] == "1.3,0.37851162325372983,4,0.4041308542981859,-13"
+    assert out.splitlines()[1] == "1.3,0.37851162325372983,4,0.40413085429801238,-13"
+
+
+def test_unconverged_luxemburg_root_exits_3(capsys, tmp_path, monkeypatch):
+    """A Luxemburg root still going at its step cap is a numerical failure
+    with nothing on stdout, never a midpoint printed as a norm."""
+    monkeypatch.setattr(spaces, "_MAX_ROOT", 1)
+    orlicz = {"type": "orlicz", "N": {"kind": "power_log", "a": 2, "c": 1}}
+    code, out, err = run(capsys, "residuals", "--config", write_config(tmp_path, space=orlicz))
+    assert (code, out) == (3, "")
+    assert "did not converge" in err
 
 
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
@@ -750,7 +760,9 @@ def test_options_before_the_command(capsys, tmp_path):
 
 # sha256 (first 16 hex digits) of stdout + "\0" + stderr, and the exit code, of
 # every command on every tests/data config, as printed before the CLI had one
-# flat parser.  The witness command exits 2 where a config has no witness.
+# flat parser; orlicz_piecewise probe and residuals as printed since the
+# Luxemburg roots take Illinois steps (at most 5.5e-13 relative from the
+# bisected roots).  The witness command exits 2 where a config has no witness.
 DATA_OUTPUTS = {
     ("l1", "indices"): (0, "617136a398e3077d"),
     ("l1", "spectrum"): (0, "26174f92ab685a24"),
@@ -772,8 +784,8 @@ DATA_OUTPUTS = {
     ("lorentz_two", "report"): (0, "3cc07dea358a051d"),
     ("orlicz_piecewise", "indices"): (0, "1953ad1181f06a49"),
     ("orlicz_piecewise", "spectrum"): (0, "85a938f50fa09ae4"),
-    ("orlicz_piecewise", "probe"): (0, "e7e2d59e8152e198"),
-    ("orlicz_piecewise", "residuals"): (0, "51f38903ab011fa8"),
+    ("orlicz_piecewise", "probe"): (0, "ed01c708e834dae7"),
+    ("orlicz_piecewise", "residuals"): (0, "8d2e9c9d529fd05f"),
     ("orlicz_piecewise", "witness"): (2, "175ec17f77160285"),
     ("orlicz_piecewise", "report"): (0, "3c7a6dce2c0083ff"),
     ("orlicz_square", "indices"): (0, "2f2093874c47b646"),

@@ -13,8 +13,8 @@ from mpmath import mpf
 
 from rispect import Distribution, Lorentz, Orlicz, fn_from_json, space_norm
 
-# Largest relative errors seen at these seeds: 5.8e-16 (Lorentz) and 4.5e-13
-# (Luxemburg, bisected to LUX_REL_TOL; closed-form pure_power 1.9e-16).
+# Largest relative errors seen at these seeds: 5.8e-16 (Lorentz) and 6.8e-16
+# (Luxemburg; closed-form pure_power 1.9e-16).
 
 DPS = 50
 PSIS = [
@@ -122,5 +122,6 @@ def test_luxemburg_norm_matches_mpmath(N):
     space = Orlicz(fn_from_json(N))
     for d in random_distributions(12, 40):
         want = luxemburg_reference(d.atoms, N)
-        # LUX_REL_TOL is 1e-12, so a bisected root is good to about that.
-        assert rel_err(space_norm(space, d), want) <= 1e-11
+        # A root stops within 2**-50 * max(1, |log(u / u0)|) of log u, and
+        # |log(u / u0)| is below 3 here: a relative error of at most 4e-15.
+        assert rel_err(space_norm(space, d), want) <= 4e-15
