@@ -9,6 +9,7 @@ functional, and the exact range identity.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .indices import IndexSet, WeightSeq
-from .shifts import geometric_window, shift_minus, squared_window
+from .shifts import shift_minus
 from .spaces import NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
 from .steps import Seq, _canonical_rows
 
@@ -192,24 +193,63 @@ def _never_wins(r: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(r), np.inf, r)
 
 
+def _images(lam: float, coeffs: np.ndarray) -> np.ndarray:
+    """Row i is (shift - lam) of the coefficients coeffs[i] on blocks 0, 1,
+    ..., one block longer, as shift_minus computes it: block j holds
+    coeffs[i, j-1] - lam * coeffs[i, j].  An overflow reads inf or NaN."""
+    padded = np.zeros((len(coeffs), coeffs.shape[1] + 2))
+    padded[:, 1:-1] = coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        return padded[:, :-1] - lam * padded[:, 1:]
+
+
 def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks) -> list:
     """The _grouped_norms requests, over all starts ks, of the windows of each
     rate (outer) and n: the geometric window, its image under shift - lam,
     the squared window, its image and the image of that.  The window at k is
-    the one at 0 shifted by k, so each is built once, at k = 0."""
-    ks = np.asarray(ks, dtype=int)
-    requests = []
+    the one at 0 shifted by k, so each is built once, at k = 0, as a row of
+    coefficients on blocks 0, 1, ...; the rows of every rate and n are
+    canonicalised together.  The first (rate, n) that fails raises as the
+    windows built one at a time do: NumericalError when a coefficient
+    rate ** -j or an image overflows, ValueError when a nonzero block leaves
+    |k| <= 1000 at k = 0 or at a start."""
+    ks, ns = np.asarray(ks, dtype=int), np.asarray(ns, dtype=int)[:, None]
+    j = np.arange(2 * ns.max(initial=0) + 1)
+    geo, sq, blown = [], [], []
     for rate in rates:
-        for n in ns:
-            try:
-                geo = geometric_window(rate, 0, n)
-                sq = squared_window(rate, 0, n)
-            except OverflowError as exc:
-                raise NumericalError(f"window at rate {rate} overflows") from exc
-            image = _image(geo, lam)
-            t1 = _image(sq, lam)
-            requests += [_block_request(a, ks) for a in (geo, image, sq, t1, _image(t1, lam))]
-    return requests
+        powers = []
+        with contextlib.suppress(OverflowError):
+            for i in j.tolist():
+                powers.append(rate**-i)
+        c = np.zeros(j.size)
+        c[: len(powers)] = powers
+        with np.errstate(over="ignore", invalid="ignore"):
+            geo.append(np.where(j <= ns, c, 0.0))
+            sq.append(np.where(j <= 2 * ns, np.where(j <= ns, j + 1, 2 * ns + 1 - j) * c, 0.0))
+        blown += (2 * ns[:, 0] >= len(powers)).tolist()
+    geo, sq = np.concatenate(geo), np.concatenate(sq)
+    t1 = _images(lam, sq)
+    rows = np.zeros((len(geo), 5, j.size + 2))
+    for i, w in enumerate([geo, _images(lam, geo), sq, t1, _images(lam, t1)]):
+        rows[:, i, : w.shape[1]] = w
+    nonzero = rows != 0.0
+    first = nonzero.argmax(axis=2)
+    last = rows.shape[2] - 1 - nonzero[:, :, ::-1].argmax(axis=2)
+    outside = (first + ks.min(initial=0) < -1000) | (last + ks.max(initial=0) > 1000)
+    failed = [np.array(blown, dtype=bool), ~np.isfinite(rows).all(axis=(1, 2)), outside.any(axis=1)]
+    bad = np.select(failed, [1, 2, 3])
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        if bad[i] == 1:
+            raise NumericalError(f"window at rate {rates[i // len(ns)]} overflows")
+        if bad[i] == 2:
+            raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
+        raise ValueError("shifted block index outside the exact-measure range")
+    # Past the last nonzero block the rows are 0: a block measure there could overflow.
+    measures = np.ldexp(1.0, np.arange(last.max(initial=-1) + 1))
+    rows = np.abs(rows[:, :, : measures.size]).reshape(5 * len(rows), measures.size)
+    scales = np.ldexp(1.0, ks)
+    return [(v, m, scales) for v, m in _canonical_rows(rows, measures)]
 
 
 def _window_scan(norms: np.ndarray, ns: Sequence[int], ks: Sequence[int]) -> list[tuple]:
@@ -294,10 +334,7 @@ def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> list:
     """One-row _grouped_norms requests of the probes a of _random_probes, in
     order, then of each (shift - lam) a, computed as shift_minus does on
     blocks starts[i], starts[i] + 1, ...; both canonicalised as arrays."""
-    padded = np.zeros((len(coeffs), RANDOM_MAX_LEN + 2))
-    padded[:, 1:-1] = coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        images = padded[:, :-1] - lam * padded[:, 1:]
+    images = _images(lam, coeffs)
     if not np.isfinite(images).all():
         raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
     measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))

@@ -56,7 +56,14 @@ from rispect.spaces import (
     _lorentz_rows,
     _luxemburg_rows,
 )
-from rispect.spectra import ProbeConfig, _image, _probe_requests, _random_probes, probe_lower_bound
+from rispect.spectra import (
+    ProbeConfig,
+    _image,
+    _probe_requests,
+    _random_probes,
+    _scan_requests,
+    probe_lower_bound,
+)
 from test_steps import reference_seq_atoms
 
 PSIS = [
@@ -290,6 +297,68 @@ def test_space_norms_take_any_iterable(space, ds):
     assert all(v == 0.0 for v, d in zip(got, ds) if d.is_zero)
     assert got == [space_norm(space, d) for d in ds]
     assert got == [reference_norm(space, d.atoms) for d in ds]
+
+
+# --- window scans: the array requests against windows built one at a time ---------------
+
+
+def reference_scan_requests(lam: float, rates, ns, ks) -> list:
+    """_scan_requests as Seq windows, one (rate, n) at a time: the form it
+    had before the windows became array rows."""
+    requests = []
+    for rate in rates:
+        for n in ns:
+            try:
+                geo, sq = geometric_window(rate, 0, n), squared_window(rate, 0, n)
+            except OverflowError as exc:
+                raise NumericalError(f"window at rate {rate} overflows") from exc
+            image, t1 = _image(geo, lam), _image(sq, lam)
+            requests += [_block_request(a, ks) for a in (geo, image, sq, t1, _image(t1, lam))]
+    return requests
+
+
+def outcome(build, *args) -> list:
+    """The requests' bytes, or the exception's type and message.  Starts ks
+    give no rows when empty, so then only the (empty) scales are kept."""
+    try:
+        requests = build(*args)
+    except (NumericalError, ValueError) as exc:
+        return [type(exc), str(exc)]
+    return [
+        tuple(a.tobytes() for a in (r if r[2].size else r[2:])) for r in requests
+    ]
+
+
+extreme = st.sampled_from([1e-300, 1e-200, 1e-5, 1e150, 1e300])
+
+
+@settings(max_examples=200)
+@given(
+    lam=st.one_of(st.floats(0.25, 4.0), extreme),
+    rates=st.lists(st.one_of(st.floats(0.25, 4.0), extreme), min_size=1, max_size=3),
+    ns=st.lists(st.integers(0, 300), max_size=4, unique=True).map(sorted),
+    ks=st.lists(st.integers(-1010, 1010), max_size=6, unique=True).map(sorted),
+)
+@example(lam=1.3, rates=[1.3], ns=[], ks=[0])  # no window at all
+@example(lam=1.3, rates=[1.3, 2.0], ns=[0, 4], ks=[-3, 0, 3])  # n = 0: one block
+@example(lam=1.3, rates=[1e-5], ns=[8, 100], ks=[0])  # 1e-5 ** -100 overflows
+@example(lam=1e300, rates=[1.5], ns=[2], ks=[0])  # the second image overflows
+@example(lam=1e-200, rates=[1.5], ns=[2], ks=[-1000])  # lam**2 underflows at block 0
+@example(lam=1.3, rates=[1.3], ns=[8], ks=[-1000, 984])  # the last image reaches 1002
+def test_scan_requests_equal_windows_built_one_at_a_time(lam, rates, ns, ks):
+    """Every request, to the bit, or the same failure for the first (rate, n)
+    that fails: a window or image that overflows, a block past |k| = 1000."""
+    want = outcome(reference_scan_requests, lam, rates, ns, np.asarray(ks, dtype=int))
+    assert outcome(_scan_requests, lam, rates, ns, ks) == want
+
+
+def test_scan_requests_refuse_windows_past_block_1000():
+    """A window longer than the exact range is refused at k = 0 too (the
+    Seq window names the block)."""
+    with pytest.raises(ValueError, match="^block index 1001 outside"):
+        reference_scan_requests(1.3, [1.3], [500], np.array([-500]))
+    with pytest.raises(ValueError, match="outside the exact-measure range$"):
+        _scan_requests(1.3, [1.3], [500], [-500])
 
 
 # --- the grouped kernel: a mixed request list against one request at a time -------------
