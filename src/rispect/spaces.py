@@ -3,7 +3,7 @@
 Norms are evaluated exactly on finite step functions: the Lorentz functional
 integrates the decreasing profile against the parameter function, and the
 Orlicz (Luxemburg) norm is the root of the modular equation, bracketed by the
-convexity of N and found by Illinois steps in log coordinates.  Each space
+convexity of N and found by secant steps in log coordinates.  Each space
 has one norm kernel, which norms many distributions at once as the rows of an
 array.
 """
@@ -46,8 +46,8 @@ __all__ = [
 INV_REL_TOL = 1e-12
 _MAX_BISECT = 200
 # A Luxemburg root stops where |log modular| or its bracket in log u is at
-# most _ROOT_TOL (times |log u/u0| past 1): a relative error of about 1e-15
-# near u0.  Rows take 1 to 8 Illinois steps on the test spaces.
+# most _ROOT_TOL: a relative error of about 1e-15.  Rows take 1 to 6 secant
+# steps on the benchmark spaces.
 _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
 # Largest step count j of a bracket x0 * 2**+-j: block measures reach
@@ -429,41 +429,51 @@ def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpe
     return _pow_each((values**q * dpsi).sum(axis=1), 1.0 / q)
 
 
-def _illinois_rows(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Element i is a root x of the decreasing f(x, rows) in row i's bracket
-    [a[i], b[i]], where f(a) = fa > 0 > fb = f(b).  Each step evaluates the
-    secant point of the bracket, or its midpoint where the secant reads NaN
-    or leaves the open bracket, and keeps the end on the root's side (a NaN
-    counts as the root lying below).  The Illinois rule halves the value at
-    an end kept for a second step running.  With tol = _ROOT_TOL * max(1,
-    |c|) at the point c of a step, a few ulps of c, the row stops at c when
-    |f(c)| <= tol, or at its bracket's midpoint once b - a <= tol; a row
-    whose bracket is one point x is solved there.  Active rows are kept
-    compact, shrinking when a row stops, so each takes the steps of a
-    one-row call.  A row still going after _MAX_ROOT steps raises
-    NumericalError."""
-    x = 0.5 * (a + b)
-    rows = np.flatnonzero(a < b)
-    a, b, fa, fb = a[rows], b[rows], fa[rows], fb[rows]
-    moved = np.zeros(rows.size)  # +1 when the last step moved a, -1 when b
+def _secant_rows(f, u: np.ndarray, a, b, fa, fb) -> np.ndarray:
+    """Element i is the root u of f(u, rows), which decreases in x = log u,
+    inside row i's bracket: log u between log u[i] + a[i] and log u[i] + b[i],
+    where f(u e**a) = fa > 0 > fb = f(u e**b).  Each step evaluates the
+    secant point c of the last two points, or where that leaves the open
+    bracket or reads NaN, the bracket's Anderson-Bjorck point, or its
+    midpoint, and c replaces the end on its side (a NaN counts as the root
+    lying below).  When f(c) has the sign of f at the last point, the other
+    end's value is scaled by 1 - f(c)/f(last), or halved where that is not
+    positive.  x is measured from the point evaluated last, so a step
+    resolves the root to ulps of u wherever it lies.  A row stops at c when
+    |f(c)| <= _ROOT_TOL, or at its bracket's midpoint once b - a <=
+    _ROOT_TOL; a row whose bracket is one point, or not finite, is solved at
+    its midpoint.  Active rows are kept compact, shrinking when a row stops,
+    so each takes the steps of a one-row call.  A row still going after
+    _MAX_ROOT steps raises NumericalError."""
+    out = u * np.exp(0.5 * (a + b))
+    rows = np.flatnonzero((a < b) & np.isfinite(b - a))
+    # x is measured from b, the point fb was evaluated at, and p is the point before.
+    u = u[rows] * np.exp(b[rows])
+    a, b, fa, fb = a[rows] - b[rows], np.zeros(rows.size), fa[rows], fb[rows]
+    p, fp, fq = a, fa, fb
     for _ in range(_MAX_ROOT):
         if not rows.size:
-            return x
-        c = a + fa * (b - a) / (fa - fb)
-        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
-        fc = f(c, rows)
+            return out
+        c = fq * p / (fq - fp)
+        inside = (a < c) & (c < b)
+        if not inside.all():
+            ab = a + fa * (b - a) / (fa - fb)
+            c = np.where(inside, c, np.where((a < ab) & (ab < b), ab, 0.5 * (a + b)))
+        uc = u * np.exp(c)
+        fc = f(uc, rows)
         up = fc > 0.0
-        side = np.where(up, 1.0, -1.0)
-        kept = np.where(moved == side, 0.5, 1.0)
-        a, fa = np.where(up, c, a), np.where(up, fc, kept * fa)
-        b, fb = np.where(up, b, c), np.where(up, kept * fb, fc)
-        moved, t = side, _ROOT_TOL * np.maximum(1.0, np.abs(c))
-        hit = np.abs(fc) <= t
-        stop = hit | (b - a <= t)
+        r = fc / fq
+        kept = np.where(r > 0.0, np.where(r < 1.0, 1.0 - r, 0.5), 1.0)
+        a, fa = np.where(up, c, a) - c, np.where(up, fc, kept * fa)
+        b, fb = np.where(up, b, c) - c, np.where(up, kept * fb, fc)
+        u, p, fp, fq = uc, -c, fq, fc
+        hit = np.abs(fc) <= _ROOT_TOL
+        stop = hit | (b - a <= _ROOT_TOL)
         if stop.any():
-            x[rows[stop]] = np.where(hit, c, 0.5 * (a + b))[stop]
+            out[rows[stop]] = (u * np.exp(np.where(hit, 0.0, 0.5 * (a + b))))[stop]
             go = ~stop
-            rows, a, b, fa, fb, moved = rows[go], a[go], b[go], fa[go], fb[go], moved[go]
+            rows, u, a, b, fa, fb = rows[go], u[go], a[go], b[go], fa[go], fb[go]
+            p, fp, fq = p[go], fp[go], fq[go]
     raise NumericalError(f"luxemburg root did not converge in the step cap {_MAX_ROOT}")
 
 
@@ -473,7 +483,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     decreases in u; values is one row per weight row, or one row shared by all.
 
     N = t**a (equal exponents) solves in closed form.  Otherwise row i solves
-    f(x) = log modular(u0 * e**x) = 0 with _illinois_rows, u0 = max_j
+    f(x) = log modular(u0 * e**x) = 0 with _secant_rows, u0 = max_j
     values_ij.  N convex with N(0) = 0 has N(l t) >= l N(t) for l >= 1, so
     f falls by at least d over every step d: the root lies between 0 and
     f(0), and within |f(x)| of any x.  One evaluation at the far end
@@ -494,21 +504,21 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         terms = np.asarray(N.value(v / u[:, None]), dtype=float)
         return (w * terms).sum(axis=1)
 
-    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.log(modular(u0[rows] * np.exp(x), rows))
+    def f(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.log(modular(u, rows))
 
     def fail(i: int, side: str) -> str:
         zero = "luxemburg bracketing underflows to u = 0"
         return zero if side == "zero" else f"luxemburg bracketing failed {side}"
 
     every = np.arange(u0.size)
-    f0 = f(np.zeros(u0.size), every)
+    f0 = f(u0, every)
     done = np.abs(f0) <= _ROOT_TOL  # solved at u0: the bracket [0, 0]
     far = f0 * (1.0 + 2.0**-30)
     u_far = u0 * np.exp(far)
     rows = every[np.isfinite(f0) & ~done & (u_far >= _TINY) & (u_far < np.inf)]
     f_far = np.full(u0.size, np.nan)
-    f_far[rows] = f(far[rows], rows)
+    f_far[rows] = f(u_far[rows], rows)
     up = f0 > 0.0
     held = np.isfinite(f_far) & np.where(up, f_far < 0.0, f_far > 0.0)
     a, b = np.where(held & ~up, far, 0.0), np.where(held & up, far, 0.0)
@@ -517,8 +527,8 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     if slow.size:
         lo, hi, _ = _bracket_rows(lambda u, r: modular(u, slow[r]) - 1.0, u0[slow], fail)
         a[slow], b[slow] = np.log(lo / u0[slow]), np.log(hi / u0[slow])
-        fa[slow], fb[slow] = f(a[slow], slow), f(b[slow], slow)
-    return u0 * np.exp(_illinois_rows(f, a, b, fa, fb))
+        fa[slow], fb[slow] = f(u0[slow] * np.exp(a[slow]), slow), f(u0[slow] * np.exp(b[slow]), slow)
+    return _secant_rows(f, u0, a, b, fa, fb)
 
 
 def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:

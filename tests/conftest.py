@@ -1,13 +1,16 @@
-"""Shared fixtures: the six reference spaces used across the suite."""
+"""Shared fixtures: the six reference spaces used across the suite, and a
+call counter for the work-count pins."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rispect import Lorentz, Orlicz, PiecewisePower, PurePower
+from rispect import FnSpec, Lorentz, Orlicz, PiecewisePower, PurePower
 
 settings.register_profile(
     "deterministic",
@@ -63,3 +66,22 @@ def orlicz_piecewise() -> Orlicz:
 @pytest.fixture
 def datadir() -> Path:
     return Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def counted():
+    """counted(fn) is (a copy of fn, calls): the copy appends the number of
+    points of each value call to calls.  Work pins count these, not time."""
+
+    def wrap(fn: FnSpec) -> tuple[FnSpec, list[int]]:
+        calls: list[int] = []
+
+        @dataclass(frozen=True)
+        class Counted(type(fn)):
+            def value(self, t):
+                calls.append(np.size(t))
+                return super().value(t)
+
+        return Counted(*(getattr(fn, f.name) for f in fields(fn))), calls
+
+    return wrap

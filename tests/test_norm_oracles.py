@@ -13,8 +13,9 @@ from mpmath import mpf
 
 from rispect import Distribution, Lorentz, Orlicz, fn_from_json, space_norm
 
-# Largest relative errors seen at these seeds: 5.8e-16 (Lorentz) and 6.8e-16
-# (Luxemburg; closed-form pure_power 1.9e-16).
+# Largest relative errors seen at these seeds: 5.8e-16 (Lorentz) and 3.7e-16
+# (Luxemburg; closed-form pure_power 1.9e-16); 7.5e-16 for Luxemburg roots
+# 2**100 from the largest value (table N 1.7e-14).
 
 DPS = 50
 PSIS = [
@@ -75,11 +76,12 @@ def luxemburg_reference(atoms, N: dict) -> mpf:
         def modular(u: mpf) -> mpf:
             return sum(mpf(m) * n_fn(mpf(v) / u) for v, m in atoms)
 
-        lo = hi = max(mpf(v) for v, _ in atoms)
-        while modular(hi) > 1:
-            hi *= 2
+        lo = max(mpf(v) for v, _ in atoms)
+        while modular(lo) > 1:
+            lo *= 2
         while modular(lo) < 1:
             lo /= 2
+        hi = 2 * lo
         # A factor-2 bracket halved 90 times pins u to 1e-27, relative:
         # far below the tolerance tested, at a fraction of full precision's cost.
         for _ in range(90):
@@ -122,6 +124,23 @@ def test_luxemburg_norm_matches_mpmath(N):
     space = Orlicz(fn_from_json(N))
     for d in random_distributions(12, 40):
         want = luxemburg_reference(d.atoms, N)
-        # A root stops within 2**-50 * max(1, |log(u / u0)|) of log u, and
-        # |log(u / u0)| is below 3 here: a relative error of at most 4e-15.
+        # A root stops within 2**-50 of log u, or where |log modular| is at
+        # most 2**-50, which bounds its distance too: about 1e-15 relative,
+        # plus the rounding of N and the modular sum.
         assert rel_err(space_norm(space, d), want) <= 4e-15
+
+
+@pytest.mark.parametrize("scale", [-200, 200])
+@pytest.mark.parametrize("N", NS, ids=[N["kind"] for N in NS])
+def test_luxemburg_norm_far_from_the_largest_value_matches_mpmath(N, scale):
+    """Measures scaled by 2**scale put the root about 2**(scale / 2) times
+    the largest value.  The root is measured from the last point evaluated,
+    so it keeps the precision it has near the largest value (measured from
+    that value, it was off by up to 2.2e-14 here).  A table N is itself
+    good to only about 2e-14 this far out: it exponentiates a log-linear
+    extrapolation near log t = 70."""
+    space = Orlicz(fn_from_json(N))
+    bound = 3e-14 if N["kind"] == "table" else 4e-15
+    for d in random_distributions(13, 20):
+        d = Distribution(tuple((v, m * 2.0**scale) for v, m in d.atoms))
+        assert rel_err(space_norm(space, d), luxemburg_reference(d.atoms, N)) <= bound
