@@ -116,7 +116,9 @@ class PiecewisePower(FnSpec):
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.where(t <= 1.0, np.power(t, self.a0), np.power(t, self.a_inf))
+        low = t <= 1.0  # each power on its own half-axis only, with the same bits
+        out = np.power(t, self.a0, where=low, out=np.empty_like(t))
+        out = np.power(t, self.a_inf, where=~low, out=out)
         return out if out.ndim else float(out)
 
     def exponents(self) -> tuple[float, float]:
@@ -270,8 +272,10 @@ def _bisect_rows(below, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, tol: f
 
 
 def _pow_each(x: np.ndarray, e) -> np.ndarray:
-    """Element i is x[i] ** e[i], or x[i] ** e for one exponent e, in Python
-    floats: the array power rounds differently in the last ulp."""
+    """Element i is x[i] ** e[i], or x[i] ** e for one exponent e (x for e = 1),
+    in Python floats: the array power rounds differently in the last ulp."""
+    if np.ndim(e) == 0 and e == 1.0:
+        return x
     return np.array(list(map(pow, x.tolist(), np.broadcast_to(e, x.shape).tolist())))
 
 
@@ -430,24 +434,21 @@ def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpe
 
 
 def _secant_rows(f, u: np.ndarray, a, b, fa, fb) -> np.ndarray:
-    """Element i is the root u of f(u, rows), which decreases in x = log u,
-    inside row i's bracket: log u between log u[i] + a[i] and log u[i] + b[i],
-    where f(u e**a) = fa > 0 > fb = f(u e**b).  Each step evaluates the
-    secant point c of the last two points, or where that leaves the open
-    bracket or reads NaN, the bracket's Anderson-Bjorck point, or its
-    midpoint, and c replaces the end on its side (a NaN counts as the root
-    lying below).  When f(c) has the sign of f at the last point, the other
-    end's value is scaled by 1 - f(c)/f(last), or halved where that is not
-    positive.  x is measured from the point evaluated last, so a step
-    resolves the root to ulps of u wherever it lies.  A row stops at c when
-    |f(c)| <= _ROOT_TOL, or at its bracket's midpoint once b - a <=
-    _ROOT_TOL; a row whose bracket is one point, or not finite, is solved at
-    its midpoint.  Active rows are kept compact, shrinking when a row stops,
-    so each takes the steps of a one-row call.  A row still going after
-    _MAX_ROOT steps raises NumericalError."""
+    """Element i is the root u of f(u, rows), decreasing in x = log u, where
+    f(u e**a) = fa > 0 > fb = f(u e**b).  A step evaluates the secant point
+    c of the last two points (b and a at the start), or where that leaves
+    the open bracket or reads NaN, the bracket's Anderson-Bjorck point, or
+    its midpoint; c replaces the end on its side (a NaN counts as the root
+    lying below), and if f(c) has the sign of the last value, the other end's
+    value is scaled by 1 - f(c)/f(last), or halved where that is not
+    positive.  x is measured from the last point, which resolves a root to
+    ulps of u wherever it lies.  A row stops at c when |f(c)| <= _ROOT_TOL,
+    or at the midpoint once b - a <= _ROOT_TOL; a one-point or infinite
+    bracket is solved at its midpoint.  Rows are kept compact, so each takes
+    the steps of a one-row call; a row still going after _MAX_ROOT steps
+    raises NumericalError."""
     out = u * np.exp(0.5 * (a + b))
     rows = np.flatnonzero((a < b) & np.isfinite(b - a))
-    # x is measured from b, the point fb was evaluated at, and p is the point before.
     u = u[rows] * np.exp(b[rows])
     a, b, fa, fb = a[rows] - b[rows], np.zeros(rows.size), fa[rows], fb[rows]
     p, fp, fq = a, fa, fb
@@ -468,12 +469,10 @@ def _secant_rows(f, u: np.ndarray, a, b, fa, fb) -> np.ndarray:
         b, fb = np.where(up, b, c) - c, np.where(up, kept * fb, fc)
         u, p, fp, fq = uc, -c, fq, fc
         hit = np.abs(fc) <= _ROOT_TOL
-        stop = hit | (b - a <= _ROOT_TOL)
-        if stop.any():
-            out[rows[stop]] = (u * np.exp(np.where(hit, 0.0, 0.5 * (a + b))))[stop]
-            go = ~stop
-            rows, u, a, b, fa, fb = rows[go], u[go], a[go], b[go], fa[go], fb[go]
-            p, fp, fq = p[go], fp[go], fq[go]
+        go = ~(hit | (b - a <= _ROOT_TOL))
+        if not go.all():
+            out[rows[~go]] = (u * np.exp(np.where(hit, 0.0, 0.5 * (a + b))))[~go]
+            rows, u, a, b, fa, fb, p, fp, fq = (v[go] for v in (rows, u, a, b, fa, fb, p, fp, fq))
     raise NumericalError(f"luxemburg root did not converge in the step cap {_MAX_ROOT}")
 
 
@@ -498,14 +497,11 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     values = np.broadcast_to(values, weights.shape)
     u0 = values.max(axis=1)
 
-    def modular(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def f(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # rows is sorted and unique, so at full size it is every row: no gather.
         v, w = (values, weights) if rows.size == len(weights) else (values[rows], weights[rows])
         terms = np.asarray(N.value(v / u[:, None]), dtype=float)
-        return (w * terms).sum(axis=1)
-
-    def f(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.log(modular(u, rows))
+        return np.log((w * terms).sum(axis=1))
 
     def fail(i: int, side: str) -> str:
         zero = "luxemburg bracketing underflows to u = 0"
@@ -525,9 +521,10 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     fa, fb = np.where(held & ~up, f_far, f0), np.where(held & up, f_far, f0)
     slow = every[~(held | done)]
     if slow.size:
-        lo, hi, _ = _bracket_rows(lambda u, r: modular(u, slow[r]) - 1.0, u0[slow], fail)
+        # log modular has the sign of modular - 1, so it brackets the same way.
+        lo, hi, _ = _bracket_rows(lambda u, r: f(u, slow[r]), u0[slow], fail)
         a[slow], b[slow] = np.log(lo / u0[slow]), np.log(hi / u0[slow])
-        fa[slow], fb[slow] = f(u0[slow] * np.exp(a[slow]), slow), f(u0[slow] * np.exp(b[slow]), slow)
+        fa[slow], fb[slow] = (f(u0[slow] * np.exp(x[slow]), slow) for x in (a, b))
     return _secant_rows(f, u0, a, b, fa, fb)
 
 
@@ -550,9 +547,12 @@ def space_norm(space: SpaceSpec, d: Distribution) -> float:
 
 def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     """Element i is the norm of the i-th distribution of ds, 0.0 when it is
-    zero.  ds may be any iterable, such as a generator: only each
-    distribution's value and measure arrays are kept."""
-    return _grouped_norms(space, [(d.values, d.measures, None) for d in ds]).tolist()
+    zero; a norm that overflows is a NumericalError.  ds may be any iterable,
+    such as a generator: only each distribution's atom arrays are kept."""
+    norms = _grouped_norms(space, [(d.values, d.measures, None) for d in ds])
+    if not np.isfinite(norms).all():
+        raise NumericalError("the norm of a distribution overflows")
+    return norms.tolist()
 
 
 # Elements (rows x atoms) per row-kernel evaluation: of 2**12 to 2**15, 2**13

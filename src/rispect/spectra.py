@@ -180,69 +180,43 @@ class ProbeResult:
             raise ValueError("residual entries must have strictly increasing n")
 
 
-def _image(a: Seq, lam: float) -> Seq:
-    """shift_minus(a, lam); NumericalError when a coefficient overflows."""
-    b = shift_minus(a, lam)
-    if not all(math.isfinite(v) for v in b.coeffs.values()):
-        raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
-    return b
-
-
 def _never_wins(r: np.ndarray) -> np.ndarray:
     """NaN (a norm that overflowed) read as inf: neither is a strict minimum."""
     return np.where(np.isnan(r), np.inf, r)
 
 
 def _images(lam: float, coeffs: np.ndarray) -> np.ndarray:
-    """Row i is (shift - lam) of the coefficients coeffs[i] on blocks 0, 1,
-    ..., one block longer, as shift_minus computes it: block j holds
-    coeffs[i, j-1] - lam * coeffs[i, j].  An overflow reads inf or NaN."""
-    padded = np.zeros((len(coeffs), coeffs.shape[1] + 2))
-    padded[:, 1:-1] = coeffs
+    """Row i is shift_minus(coeffs[i], lam) for coefficients on blocks 0, 1, ...
+    ending in a 0, to the bit; an overflow reads inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return padded[:, :-1] - lam * padded[:, 1:]
+        return np.pad(coeffs[:, :-1], ((0, 0), (1, 0))) - lam * coeffs
 
 
 def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks) -> list:
     """The _grouped_norms requests, over all starts ks, of the windows of each
     rate (outer) and n: the geometric window, its image under shift - lam,
-    the squared window, its image and the image of that.  The window at k is
-    the one at 0 shifted by k, so each is built once, at k = 0, as a row of
-    coefficients on blocks 0, 1, ...; the rows of every rate and n are
-    canonicalised together.  The first (rate, n) that fails raises as the
-    windows built one at a time do: NumericalError when a coefficient
-    rate ** -j or an image overflows, ValueError when a nonzero block leaves
-    |k| <= 1000 at k = 0 or at a start."""
+    the squared window, its image and the image of that.  Each is one array
+    row of coefficients on blocks 0, 1, ..., shifted by k as a request; the
+    first (rate, n) that fails raises as its windows built one by one do."""
     ks, ns = np.asarray(ks, dtype=int), np.asarray(ns, dtype=int)[:, None]
-    j = np.arange(2 * ns.max(initial=0) + 1)
-    geo, sq, blown = [], [], []
-    for rate in rates:
-        powers = []
+    j = np.arange(2 * ns.max(initial=0) + 3)
+    c = np.full((len(rates), 1, j.size), np.nan)  # NaN from the first rate ** -j that overflows
+    for r, rate in enumerate(rates):
         with contextlib.suppress(OverflowError):
             for i in j.tolist():
-                powers.append(rate**-i)
-        c = np.zeros(j.size)
-        c[: len(powers)] = powers
-        with np.errstate(over="ignore", invalid="ignore"):
-            geo.append(np.where(j <= ns, c, 0.0))
-            sq.append(np.where(j <= 2 * ns, np.where(j <= ns, j + 1, 2 * ns + 1 - j) * c, 0.0))
-        blown += (2 * ns[:, 0] >= len(powers)).tolist()
-    geo, sq = np.concatenate(geo), np.concatenate(sq)
+                c[r, 0, i] = rate**-i
+    blown = np.isnan(c[:, 0, 2 * ns[:, 0]]).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        geo = np.where(j <= ns, c, 0.0).reshape(-1, j.size)
+        sq = np.where(j <= 2 * ns, np.minimum(j + 1, 2 * ns + 1 - j) * c, 0.0).reshape(-1, j.size)
     t1 = _images(lam, sq)
-    rows = np.zeros((len(geo), 5, j.size + 2))
-    for i, w in enumerate([geo, _images(lam, geo), sq, t1, _images(lam, t1)]):
-        rows[:, i, : w.shape[1]] = w
-    nonzero = rows != 0.0
-    first = nonzero.argmax(axis=2)
-    last = rows.shape[2] - 1 - nonzero[:, :, ::-1].argmax(axis=2)
-    outside = (first + ks.min(initial=0) < -1000) | (last + ks.max(initial=0) > 1000)
-    failed = [np.array(blown, dtype=bool), ~np.isfinite(rows).all(axis=(1, 2)), outside.any(axis=1)]
-    bad = np.select(failed, [1, 2, 3])
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        if bad[i] == 1:
+    rows = np.stack([geo, _images(lam, geo), sq, t1, _images(lam, t1)], axis=1)
+    last = j.size - 1 - (rows != 0.0).any(axis=1)[:, ::-1].argmax(axis=1)
+    outside = (ks.min(initial=0) < -1000) | (last + ks.max(initial=0) > 1000)
+    for i in np.flatnonzero(blown | ~np.isfinite(rows).all(axis=(1, 2)) | outside)[:1]:
+        if blown[i]:
             raise NumericalError(f"window at rate {rates[i // len(ns)]} overflows")
-        if bad[i] == 2:
+        if not np.isfinite(rows[i]).all():
             raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
         raise ValueError("shifted block index outside the exact-measure range")
     # Past the last nonzero block the rows are 0: a block measure there could overflow.
@@ -313,8 +287,8 @@ def residual_curve(
 def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero random probes as (first blocks, coefficient rows): row i
     holds probe i's coefficients on blocks starts[i], starts[i] + 1, ...,
-    padded with zeros to RANDOM_MAX_LEN."""
-    starts, rows = [], np.zeros((cfg.n_random, RANDOM_MAX_LEN))
+    padded with zeros to RANDOM_MAX_LEN + 1."""
+    starts, rows = [], np.zeros((cfg.n_random, RANDOM_MAX_LEN + 1))
     for i in range(cfg.n_random):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((cfg.seed, lam_index, i)))
@@ -332,14 +306,12 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.nda
 
 def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> list:
     """One-row _grouped_norms requests of the probes a of _random_probes, in
-    order, then of each (shift - lam) a, computed as shift_minus does on
-    blocks starts[i], starts[i] + 1, ...; both canonicalised as arrays."""
+    order, then of each (shift - lam) a; both canonicalised as arrays."""
     images = _images(lam, coeffs)
     if not np.isfinite(images).all():
         raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
     measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))
-    rows = _canonical_rows(np.abs(coeffs), measures[:, :-1])
-    rows += _canonical_rows(np.abs(images), measures)
+    rows = _canonical_rows(np.abs(coeffs), measures) + _canonical_rows(np.abs(images), measures)
     return [(values, measures, None) for values, measures in rows]
 
 
@@ -370,8 +342,9 @@ def probe_lower_bound(
     ns = sorted(set(int(n) for n in cfg.n_values))
     # One grouped evaluation: the unit vector and its image at every k, the
     # windows of every rate, the random probes.
-    unit = Seq.unit(0)
-    requests = [_block_request(unit, ks), _block_request(_image(unit, lam), ks)]
+    if math.isinf(lam):  # (shift - lam) e_0 = e_1 - lam e_0
+        raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
+    requests = [_block_request(Seq({0: 1.0}), ks), _block_request(Seq({0: -lam, 1: 1.0}), ks)]
     requests += _scan_requests(lam, rates, ns, ks)
     requests += _probe_requests(lam, *_random_probes(cfg, lam_index))
     splits = [len(ks), 2 * len(ks), (2 + 5 * len(ns) * len(rates)) * len(ks)]

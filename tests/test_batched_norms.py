@@ -58,7 +58,6 @@ from rispect.spaces import (
 )
 from rispect.spectra import (
     ProbeConfig,
-    _image,
     _probe_requests,
     _random_probes,
     _scan_requests,
@@ -307,6 +306,14 @@ def test_space_norms_take_any_iterable(space, ds):
 # --- window scans: the array requests against windows built one at a time ---------------
 
 
+def reference_image(a: Seq, lam: float) -> Seq:
+    """shift_minus(a, lam); NumericalError when a coefficient overflows."""
+    b = shift_minus(a, lam)
+    if not all(math.isfinite(v) for v in b.coeffs.values()):
+        raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
+    return b
+
+
 def reference_scan_requests(lam: float, rates, ns, ks) -> list:
     """_scan_requests as Seq windows, one (rate, n) at a time: the form it
     had before the windows became array rows."""
@@ -317,8 +324,10 @@ def reference_scan_requests(lam: float, rates, ns, ks) -> list:
                 geo, sq = geometric_window(rate, 0, n), squared_window(rate, 0, n)
             except OverflowError as exc:
                 raise NumericalError(f"window at rate {rate} overflows") from exc
-            image, t1 = _image(geo, lam), _image(sq, lam)
-            requests += [_block_request(a, ks) for a in (geo, image, sq, t1, _image(t1, lam))]
+            image, t1 = reference_image(geo, lam), reference_image(sq, lam)
+            requests += [
+                _block_request(a, ks) for a in (geo, image, sq, t1, reference_image(t1, lam))
+            ]
     return requests
 
 
@@ -355,6 +364,14 @@ def test_scan_requests_equal_windows_built_one_at_a_time(lam, rates, ns, ks):
     that fails: a window or image that overflows, a block past |k| = 1000."""
     want = outcome(reference_scan_requests, lam, rates, ns, np.asarray(ks, dtype=int))
     assert outcome(_scan_requests, lam, rates, ns, ks) == want
+
+
+@pytest.mark.parametrize("n_values", [(), (4,)])
+def test_probe_at_infinite_rate_is_numerical_failure(n_values):
+    """The unit vector's image -lam e_0 + e_1 overflows first."""
+    cfg = ProbeConfig(k_lo=-4, k_hi=4, n_values=n_values, n_random=2)
+    with pytest.raises(NumericalError, match=r"^\(shift - lam\) image overflows at lam=inf$"):
+        probe_lower_bound(SPACES[0], math.inf, cfg)
 
 
 def test_scan_requests_refuse_windows_past_block_1000():
@@ -800,7 +817,7 @@ def test_random_probe_ratios_equal_scalar_ratios(space, lam, seed):
     firsts, coeffs = _random_probes(cfg, 0)
     probes = [Seq({k + j: c for j, c in enumerate(row)}) for k, row in zip(firsts, coeffs.tolist())]
     want = [
-        reference_norm(space, reference_seq_atoms(_image(a, lam)))
+        reference_norm(space, reference_seq_atoms(reference_image(a, lam)))
         / reference_norm(space, reference_seq_atoms(a))
         for a in probes
     ]
@@ -811,7 +828,7 @@ def test_random_probe_ratios_equal_scalar_ratios(space, lam, seed):
     best, best_probe = math.inf, None
     for k in ks:
         unit = Seq.unit(k)
-        r = reference_norm(space, reference_seq_atoms(_image(unit, lam))) / reference_norm(
+        r = reference_norm(space, reference_seq_atoms(reference_image(unit, lam))) / reference_norm(
             space, reference_seq_atoms(unit)
         )
         if r < best:

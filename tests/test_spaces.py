@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rispect import (
     Distribution,
     Lorentz,
+    NumericalError,
     Orlicz,
     PiecewisePower,
     PowerLog,
@@ -68,6 +69,22 @@ def test_piecewise_power_branches():
     assert f.value(1.0) == 1.0
     assert f.value(16.0) == pytest.approx(16.0**0.75)
     assert f.value(1.0 / 16.0) == pytest.approx((1.0 / 16.0) ** 0.25)
+
+
+@pytest.mark.parametrize("a0, a_inf", [(0.25, 0.75), (1.5, 3.0), (0.5, 0.5)])
+def test_piecewise_power_has_the_bits_of_both_powers_everywhere(a0, a_inf):
+    """Each power is taken only on its own half-axis, with the bits of
+    np.where over both powers taken everywhere: 10**5 points across the
+    float range (1.0 and its neighbours included), as rows and as scalars."""
+    rng = np.random.default_rng(7)
+    t = np.ldexp(rng.uniform(0.5, 1.0, 10**5), rng.integers(-1074, 1024, 10**5))
+    edges = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 5e-324]
+    t[::10] = rng.choice(edges, t[::10].size)
+    f = PiecewisePower(a0, a_inf)
+    with np.errstate(over="ignore"):
+        want = np.where(t <= 1.0, np.power(t, a0), np.power(t, a_inf))
+        assert f.value(t.reshape(100, -1)).tobytes() == want.tobytes()
+        assert [f.value(x) for x in t[:1000].tolist()] == want[:1000].tolist()
 
 
 def test_table_interpolates_exactly_at_nodes():
@@ -247,6 +264,15 @@ def test_lorentz_norm_sqrt_parameter():
 
 def test_lorentz_norm_zero():
     assert space_norm(Lorentz(1, PurePower(1.0)), Distribution()) == 0.0
+
+
+@pytest.mark.parametrize(
+    "space", [Lorentz(1, PurePower(1.0)), Orlicz(PurePower(2.0)), Orlicz(PowerLog(2.0, 1.0))]
+)
+def test_norm_above_the_largest_float_is_numerical_failure(space):
+    """A norm that overflows raises, as one that underflows to 0 does."""
+    with pytest.raises(NumericalError, match="^the norm of a distribution overflows$"):
+        space_norm(space, Distribution(((1e300, 1e30),)))
 
 
 # --- Luxemburg norm -----------------------------------------------------------
