@@ -338,9 +338,7 @@ def outcome(build, *args) -> list:
         requests = build(*args)
     except (NumericalError, ValueError) as exc:
         return [type(exc), str(exc)]
-    return [
-        tuple(a.tobytes() for a in (r if r[2].size else r[2:])) for r in requests
-    ]
+    return [tuple(a.tobytes() for a in (r if r[2].size else r[2:])) for r in requests]
 
 
 extreme = st.sampled_from([1e-300, 1e-200, 1e-5, 1e150, 1e300])
