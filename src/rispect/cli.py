@@ -33,7 +33,7 @@ from .spectra import (
     ProbeResult,
     approx_eigenvalue_set,
     classify_lambda,
-    probe_lower_bound,
+    probe_lower_bounds,
     residual_curve,
 )
 from .witness import build_witness, distortion, standard_probes
@@ -397,8 +397,7 @@ def cmd_probe(cfg: RunConfig) -> str:
         seed=cfg.seed,
     )
     rows = []
-    for lam_index, lam in enumerate(sorted(cfg.lambda_grid)):
-        pl = probe_lower_bound(cfg.space, lam, pc, ix=est, lam_index=lam_index)
+    for pl in probe_lower_bounds(cfg.space, sorted(cfg.lambda_grid), pc, ix=est):
         rows += _curve_rows(pl.meta["residual_curve"], pl.min_ratio)
     return _csv_text(PROBE_CSV_HEADER, rows)
 

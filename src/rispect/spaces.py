@@ -423,11 +423,11 @@ def fundamental(space: SpaceSpec, t: float) -> float:
 
 
 @np.errstate(over="ignore")
-def _lorentz_rows(values: np.ndarray, measures: np.ndarray, q: float, psi: FnSpec) -> np.ndarray:
-    """Row i: (sum_j v_ij**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i the
-    cumulative sums of measures[i]; values is one row per measure row, or
-    one row shared by all."""
-    psi_vals = np.asarray(psi.value(np.cumsum(measures, axis=1)), dtype=float)
+def _lorentz_rows(values: np.ndarray, cum: np.ndarray, q: float, psi: FnSpec) -> np.ndarray:
+    """Row i: (sum_j v_ij**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i = cum[i]
+    the cumulative sums of row i's measures; values is one row per row of
+    cum, or one row shared by all."""
+    psi_vals = np.asarray(psi.value(cum), dtype=float)
     dpsi = psi_vals.copy()  # np.diff(psi_vals, prepend=0.0) per row, at a fraction of its cost
     dpsi[:, 1:] -= psi_vals[:, :-1]
     return _pow_each((values**q * dpsi).sum(axis=1), 1.0 / q)
@@ -529,9 +529,10 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
 
 
 def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
-    """Row i is the norm of the distribution (values[i], measures[i]); values
-    is one row per measure row, or one row shared by all.  Every row is a
-    nonzero distribution, so a zero norm is an underflow: NumericalError."""
+    """Row i is the norm of the distribution (values[i], measures[i]), where
+    for a Lorentz space measures[i] holds the cumulative sums of its measures;
+    values is one row per measure row, or one row shared by all.  Every row
+    is a nonzero distribution, so a zero norm is an underflow: NumericalError."""
     if isinstance(space, Lorentz):
         norms = _lorentz_rows(values, measures, space.q, space.psi)
     else:
@@ -566,8 +567,13 @@ def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
     with its measures times each scale, or once for scales None; no atoms
     read 0.0.  The rows of all requests of one atom count are normed in
     order, _NORM_ELEMS elements per evaluation; only the rows of the
-    evaluation at hand are built, C-contiguous."""
-    firsts, groups = [0], {}
+    evaluation at hand are built, C-contiguous.
+
+    A Lorentz request's cumulative measures are summed once, on its base
+    row, and scaled per row: 2**k times a partial sum rounds as the partial
+    sum of the scaled measures while both stay normal floats, which every
+    shifted block row does inside |k| <= 1000 (scales None multiply by 1)."""
+    lorentz, firsts, groups = isinstance(space, Lorentz), [0], {}
     for r, (values, _, scales) in enumerate(requests):
         firsts.append(firsts[-1] + (1 if scales is None else scales.size))
         if values.size and firsts[-1] > firsts[-2]:
@@ -576,6 +582,8 @@ def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
     for width, idx in groups.items():
         values = np.array([requests[r][0] for r in idx])
         measures = np.array([requests[r][1] for r in idx])
+        if lorentz:
+            measures = np.cumsum(measures, axis=1)
         scales = [requests[r][2] for r in idx]
         scales = np.concatenate([np.ones(1) if s is None else s for s in scales])
         dest = np.concatenate([np.arange(firsts[r], firsts[r + 1]) for r in idx])

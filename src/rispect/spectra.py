@@ -10,6 +10,7 @@ functional, and the exact range identity.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +36,7 @@ __all__ = [
     "classify_lambda",
     "residual_curve",
     "probe_lower_bound",
+    "probe_lower_bounds",
     "functional_bound_test",
     "kernel_witness_curve",
     "range_identity_check",
@@ -326,29 +328,74 @@ def probe_lower_bound(
 
     The suite contains unit vectors across the window, geometric and squared
     windows at rates lam and (when ix is given) 2**alpha and 2**beta, and
-    seeded random finite sequences.  The result upper-bounds the operator's
-    lower norm bound; small values are eigenvalue evidence.  Its residuals
-    are the best window ratio per n over all rates, and
-    meta["residual_curve"] holds the rate-lam scan as the ProbeResult of
+    seeded random finite sequences, drawn for lam_index.  The result
+    upper-bounds the operator's lower norm bound; small values are eigenvalue
+    evidence.  Its residuals are the best window ratio per n over all rates,
+    and meta["residual_curve"] holds the rate-lam scan as the ProbeResult of
     residual_curve(space, lam, cfg.n_values, range(cfg.k_lo, cfg.k_hi + 1)).
     """
-    if not lam > 0:
-        raise ValueError(f"positive lam required, got {lam}")
+    return _probe_bounds(space, [(lam_index, lam)], cfg, ix)[0]
+
+
+def probe_lower_bounds(
+    space: SpaceSpec,
+    lams: Sequence[float],
+    cfg: ProbeConfig = ProbeConfig(),
+    ix: Optional[IndexSet] = None,
+) -> list[ProbeResult]:
+    """[probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in
+    enumerate(lams)], bit for bit, from one grouped norm evaluation: the unit
+    vector and the rows that no lam changes are normed once for the grid."""
+    return _probe_bounds(space, list(enumerate(lams)), cfg, ix)
+
+
+def _probe_bounds(space: SpaceSpec, grid: list, cfg: ProbeConfig, ix: Optional[IndexSet]) -> list:
+    """The probe_lower_bound of each (lam_index, lam) of grid.  Each lam's
+    requests are built in grid order, so the first lam that fails to build
+    raises as it would alone, and then all are normed in one _grouped_norms
+    call.  The unit vector, and the geometric and squared windows of each
+    (rate, n) (scan positions 0 and 2), do not depend on lam: each is listed
+    once, by that position, at the first lam that has it."""
     ks = range(cfg.k_lo, cfg.k_hi + 1)
-    rates = [lam]
-    if ix is not None:
-        rates += [2.0**ix.alpha, 2.0**ix.beta]
-    rates = sorted(set(rates))
     ns = sorted(set(int(n) for n in cfg.n_values))
-    # One grouped evaluation: the unit vector and its image at every k, the
-    # windows of every rate, the random probes.
-    if math.isinf(lam):  # (shift - lam) e_0 = e_1 - lam e_0
-        raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
-    requests = [_block_request(Seq({0: 1.0}), ks), _block_request(Seq({0: -lam, 1: 1.0}), ks)]
-    requests += _scan_requests(lam, rates, ns, ks)
-    requests += _probe_requests(lam, *_random_probes(cfg, lam_index))
+    requests, slots, plans = [], {}, []
+    for lam_index, lam in grid:
+        if not lam > 0:
+            raise ValueError(f"positive lam required, got {lam}")
+        if math.isinf(lam):  # (shift - lam) e_0 = e_1 - lam e_0
+            raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
+        rates = sorted(set([lam] + ([] if ix is None else [2.0**ix.alpha, 2.0**ix.beta])))
+        # The unit vector and its image at every k, the windows of every
+        # rate, the random probes: keyed where lam leaves them as they are.
+        own = [_block_request(Seq({0: 1.0}), ks), _block_request(Seq({0: -lam, 1: 1.0}), ks)]
+        keys = ["unit", None]
+        own += _scan_requests(lam, rates, ns, ks)
+        keys += [(rate, n, i) if i in (0, 2) else None for rate in rates for n in ns for i in range(5)]
+        own += _probe_requests(lam, *_random_probes(cfg, lam_index))
+        where = []
+        for request, key in itertools.zip_longest(own, keys):
+            where.append(len(requests) if key is None else slots.setdefault(key, len(requests)))
+            if where[-1] == len(requests):
+                requests.append(request)
+        plans.append((lam, rates, np.array(where)))
+    sizes = np.array([1 if s is None else s.size for _, _, s in requests], dtype=int)
+    firsts = np.cumsum(sizes) - sizes
+    norms = _grouped_norms(space, requests)
+    results = []
+    for lam, rates, where in plans:
+        # The rows of this lam's requests in order: request r's rows start at firsts[r].
+        size = sizes[where]
+        take = np.arange(size.sum()) + np.repeat(firsts[where] - (np.cumsum(size) - size), size)
+        results.append(_probe_result(lam, rates, ns, ks, norms[take]))
+    return results
+
+
+def _probe_result(lam: float, rates: list, ns: list, ks: range, norms: np.ndarray) -> ProbeResult:
+    """probe_lower_bound's result from the norms of its requests in order:
+    the unit vector and its image at every k, the windows of every rate, the
+    random probes and then their images."""
     splits = [len(ks), 2 * len(ks), (2 + 5 * len(ns) * len(rates)) * len(ks)]
-    units, images, scans, probes = np.split(_grouped_norms(space, requests), splits)
+    units, images, scans, probes = np.split(norms, splits)
     best = math.inf
     best_probe = None
 

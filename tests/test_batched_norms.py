@@ -32,6 +32,7 @@ from rispect import (
     block_norm,
     block_norms,
     block_weights,
+    IndexSet,
     estimate_indices,
     fundamental,
     fundamentals,
@@ -62,6 +63,7 @@ from rispect.spectra import (
     _random_probes,
     _scan_requests,
     probe_lower_bound,
+    probe_lower_bounds,
 )
 from test_steps import reference_seq_atoms
 
@@ -144,13 +146,13 @@ def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
 
 
 def reference_norm(space, atoms) -> float:
-    """The space norm of canonical atoms by the one-row Lorentz sum or the
-    scalar Luxemburg root."""
+    """The space norm of canonical atoms by the one-row Lorentz sum, on the
+    cumulative measures summed here, or the scalar Luxemburg root."""
     if not atoms:
         return 0.0
     values, measures = np.array(atoms).T
     if isinstance(space, Lorentz):
-        return float(_lorentz_rows(values, measures[None, :], space.q, space.psi)[0])
+        return float(_lorentz_rows(values, np.cumsum(measures)[None, :], space.q, space.psi)[0])
     return reference_root(values, measures, space.N)
 
 
@@ -214,6 +216,23 @@ def test_lorentz_norm_is_the_direct_sum(psi, q, atoms):
     d = Distribution(tuple(atoms))
     dpsi = np.diff(np.asarray(psi.value(np.cumsum(d.measures)), dtype=float), prepend=0.0)
     assert space_norm(Lorentz(q, psi), d) == float(np.sum(d.values**q * dpsi) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("psi", PSIS, ids=[p.kind for p in PSIS])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_lorentz_rows_of_scaled_cumulative_measures_are_the_direct_sum(psi, q, data):
+    """Rows fed 2**k * cumsum(m), the cumulative measures summed once and
+    scaled per start k, have the bits of the direct 1-D formula on the
+    shifted measures 2**k * m, for starts up to the |k| <= 1000 block edges."""
+    a = data.draw(windows())
+    ks = data.draw(starts(a))
+    values, m = np.array(reference_seq_atoms(a)).T
+    got = _lorentz_rows(values, np.ldexp(1.0, ks)[:, None] * np.cumsum(m), q, psi)
+    for k, norm in zip(ks, got.tolist()):
+        dpsi = np.diff(np.asarray(psi.value(np.cumsum(np.ldexp(m, k))), dtype=float), prepend=0.0)
+        assert norm == float(np.sum(values**q * dpsi) ** (1.0 / q))
 
 
 @pytest.mark.parametrize("N", NS, ids=[N.kind for N in NS])
@@ -452,6 +471,102 @@ def test_probe_lower_bound_norms_in_grouped_evaluations(counted):
     assert sum(calls) == 526673
     assert got.min_ratio == 0.11174406042720281
     assert got.meta["best_probe"] == ("squared", 1.4142135623679501, -32, 32)
+
+
+def counted_rows(monkeypatch) -> list[int]:
+    """The row count of every row-kernel evaluation from now on."""
+    rows, norm_rows = [], spaces._norm_rows
+
+    def counting(space, values, measures):
+        rows.append(len(measures))
+        return norm_rows(space, values, measures)
+
+    monkeypatch.setattr(spaces, "_norm_rows", counting)
+    return rows
+
+
+def test_probe_lower_bounds_norm_the_shared_rows_once(monkeypatch):
+    """Work count for two lambdas in the shape of the probe-lorentz benchmark
+    (257 starts, windows 8 to 64 at three rates, 200 random probes): 16,334
+    rows reach the row kernels per lambda alone, 32,668 for both, and 28,299
+    in one batch, which norms the unit vector (257 rows) and the geometric
+    and squared windows of the two index rates (4,112 rows) once."""
+    space = Lorentz(1.0, PiecewisePower(0.25, 0.75))
+    ix = IndexSet(0.25, 0.75, 0.25, 0.75, 0.25, 0.75)
+    cfg = ProbeConfig(k_lo=-128, k_hi=128, n_values=(8, 16, 32, 64), n_random=200, seed=1)
+    rows = counted_rows(monkeypatch)
+    want = [probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in enumerate((1.3, 1.5))]
+    assert sum(rows) == 32668
+    rows.clear()
+    got = probe_lower_bounds(space, [1.3, 1.5], cfg, ix)
+    assert sum(rows) == 28299
+    assert [probe_bits(r) for r in got] == [probe_bits(r) for r in want]
+
+
+def test_probe_lower_bounds_share_power_log_work(counted):
+    """Work count for two lambdas in the shape of the probe-orlicz benchmark
+    (65 starts, windows 8, 16 and 32 at three rates, 50 random probes) on
+    power_log(2, 1): N.value runs over 1,084,823 elements for the two
+    lambdas one at a time and 947,152 in one batch, which solves the roots of
+    the unit vector and of the index rates' windows once."""
+    N, calls = counted(PowerLog(2.0, 1.0))
+    space = Orlicz(N)
+    ix = estimate_indices(block_weights(space, -128, 128), 32)
+    cfg = ProbeConfig(k_lo=-32, k_hi=32, n_values=(8, 16, 32), n_random=50, seed=1)
+    calls.clear()
+    want = [probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in enumerate((1.3, 1.6))]
+    assert sum(calls) == 1084823
+    calls.clear()
+    got = probe_lower_bounds(space, [1.3, 1.6], cfg, ix)
+    assert sum(calls) == 947152
+    assert [probe_bits(r) for r in got] == [probe_bits(r) for r in want]
+
+
+def probe_bits(res) -> str:
+    """Every float of a probe result, its best probe and its rate-lam curve
+    (repr round-trips a float's bits)."""
+    curve = res.meta["residual_curve"]
+    return repr((res.lam, res.theta, res.min_ratio, res.residuals, res.meta["best_probe"])) + repr(
+        (curve.lam, curve.theta, curve.min_ratio, curve.residuals, curve.meta)
+    )
+
+
+@st.composite
+def probe_grids(draw) -> tuple:
+    """A space, indices (or none), and 1 to 3 rates, some of them an index
+    rate 2**alpha or 2**beta and some that fail: 1e-300 overflows its window
+    and 1e300 its second image."""
+    space = draw(st.sampled_from(SPACES))
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(alpha, 1.0))
+    ix = draw(st.sampled_from([None, IndexSet(alpha, beta, alpha, beta, alpha, beta)]))
+    rate = st.one_of(st.floats(0.5, 3.0), st.sampled_from([2.0**alpha, 2.0**beta, 1e-300, 1e300]))
+    lams = draw(st.lists(rate, min_size=1, max_size=3))
+    return space, ix, lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=probe_grids(),
+    n_values=st.lists(st.integers(0, 8), max_size=3),
+    n_random=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probe_lower_bounds_equal_one_lambda_at_a_time(grid, n_values, n_random, seed):
+    """The batch gives every probe_lower_bound to the bit, best probe and
+    rate-lam curve included, or the exception of the first lambda that fails."""
+    space, ix, lams = grid
+    cfg = ProbeConfig(k_lo=-8, k_hi=8, n_values=tuple(n_values), n_random=n_random, seed=seed)
+    try:
+        want = [probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in enumerate(lams)]
+    except (NumericalError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            probe_lower_bounds(space, lams, cfg, ix)
+        assert str(got.value) == str(exc)
+        return
+    assert [probe_bits(r) for r in probe_lower_bounds(space, lams, cfg, ix)] == [
+        probe_bits(r) for r in want
+    ]
 
 
 # --- block weights: the array fundamental against the scalar loop ----------------------

@@ -17,7 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispect import NumericalError, build_witness, cli, distortion, spaces
+from rispect import (
+    NumericalError,
+    ProbeConfig,
+    block_weights,
+    build_witness,
+    cli,
+    distortion,
+    estimate_indices,
+    probe_lower_bound,
+    spaces,
+)
 from rispect.cli import PROBE_CSV_HEADER, RESIDUAL_CSV_HEADER, main
 
 QUARTER = {"type": "lorentz", "q": 1, "psi": {"kind": "piecewise_power", "a0": 0.25, "a_inf": 0.75}}
@@ -818,6 +828,26 @@ DATA_OUTPUTS = {
     ("witness", "witness"): (0, "8b48b8c3a29b3e99"),
     ("witness", "report"): (0, "0c7bcb42ce8e5637"),
 }
+
+
+@pytest.mark.parametrize(
+    "grid", [[1.3, 1e300], [1e-300, 1.3], [1e-300, 1e300]], ids=["second-image", "window", "both"]
+)
+def test_probe_grid_with_a_failing_lambda_fails_as_one_lambda_at_a_time(capsys, tmp_path, datadir, grid):
+    """One lambda of the grid fails (1e-300 overflows its rate's window,
+    1e300 its second image): the command exits 3 with the message of the
+    first lambda that fails when each is probed alone, and prints nothing."""
+    raw = json.loads((datadir / "config_quarter.json").read_text())
+    raw["lambda_grid"] = grid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    space = spaces.space_from_json(raw["space"])
+    ix = estimate_indices(block_weights(space, -raw["k_radius"], raw["k_radius"]), raw["n_max"])
+    r = raw["probe_k_radius"]
+    pc = ProbeConfig(-r, r, tuple(raw["n_list"]), raw["n_random"], raw["seed"])
+    with pytest.raises(NumericalError) as want:
+        [probe_lower_bound(space, lam, pc, ix=ix, lam_index=i) for i, lam in enumerate(sorted(grid))]
+    assert run(capsys, "probe", "--config", str(path)) == (3, "", f"numerical failure: {want.value}\n")
 
 
 def test_data_configs_print_the_recorded_bytes_twice(capsys, datadir):
