@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from rispect import (
     Distribution,
     FnSpec,
+    IndexSet,
     Lorentz,
     NumericalError,
     Orlicz,
@@ -32,7 +33,6 @@ from rispect import (
     block_norm,
     block_norms,
     block_weights,
-    IndexSet,
     estimate_indices,
     fundamental,
     fundamentals,
@@ -473,16 +473,13 @@ def test_probe_lower_bound_norms_in_grouped_evaluations(counted):
     assert got.meta["best_probe"] == ("squared", 1.4142135623679501, -32, 32)
 
 
-def counted_rows(monkeypatch) -> list[int]:
-    """The row count of every row-kernel evaluation from now on."""
-    rows, norm_rows = [], spaces._norm_rows
-
-    def counting(space, values, measures):
-        rows.append(len(measures))
-        return norm_rows(space, values, measures)
-
-    monkeypatch.setattr(spaces, "_norm_rows", counting)
-    return rows
+def probe_bits(res) -> str:
+    """Every float of a probe result, its best probe and its rate-lam curve
+    (repr round-trips a float's bits)."""
+    curve = res.meta["residual_curve"]
+    return repr((res.lam, res.theta, res.min_ratio, res.residuals, res.meta["best_probe"])) + repr(
+        (curve.lam, curve.theta, curve.min_ratio, curve.residuals, curve.meta)
+    )
 
 
 def test_probe_lower_bounds_norm_the_shared_rows_once(monkeypatch):
@@ -494,7 +491,13 @@ def test_probe_lower_bounds_norm_the_shared_rows_once(monkeypatch):
     space = Lorentz(1.0, PiecewisePower(0.25, 0.75))
     ix = IndexSet(0.25, 0.75, 0.25, 0.75, 0.25, 0.75)
     cfg = ProbeConfig(k_lo=-128, k_hi=128, n_values=(8, 16, 32, 64), n_random=200, seed=1)
-    rows = counted_rows(monkeypatch)
+    rows, norm_rows = [], spaces._norm_rows
+
+    def counting(space, values, measures):
+        rows.append(len(measures))
+        return norm_rows(space, values, measures)
+
+    monkeypatch.setattr(spaces, "_norm_rows", counting)
     want = [probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in enumerate((1.3, 1.5))]
     assert sum(rows) == 32668
     rows.clear()
@@ -520,15 +523,6 @@ def test_probe_lower_bounds_share_power_log_work(counted):
     got = probe_lower_bounds(space, [1.3, 1.6], cfg, ix)
     assert sum(calls) == 947152
     assert [probe_bits(r) for r in got] == [probe_bits(r) for r in want]
-
-
-def probe_bits(res) -> str:
-    """Every float of a probe result, its best probe and its rate-lam curve
-    (repr round-trips a float's bits)."""
-    curve = res.meta["residual_curve"]
-    return repr((res.lam, res.theta, res.min_ratio, res.residuals, res.meta["best_probe"])) + repr(
-        (curve.lam, curve.theta, curve.min_ratio, curve.residuals, curve.meta)
-    )
 
 
 @st.composite
