@@ -52,7 +52,8 @@ _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
 # Largest step count j of a bracket x0 * 2**+-j: block measures reach
 # 2**+-1000, which puts a root hundreds of doublings from its first guess.
-# The bracket search probes steps up to this cap.
+# The Orlicz inverse reads its steps off one evaluation of N at 2**+-j for
+# every j up to this cap; a Luxemburg fallback bracket steps up to it.
 _MAX_BRACKET = 1100
 _TINY = np.finfo(float).tiny
 
@@ -282,75 +283,19 @@ def _pow_each(x: np.ndarray, e) -> np.ndarray:
 @np.errstate(over="ignore")
 def _bracket_rows(excess, x0: np.ndarray, fail):
     """Bracket each row's root, where excess(x, rows) turns from positive
-    (root above x) to negative, as a scalar loop from x0 would: double x
-    while the excess is positive and halve it while negative (a NaN keeps a
-    row going, downward at x0), overflowing silently.  Returns (lo, hi,
-    todo): the brackets and the rows to bisect; a row whose excess at x0 is
-    0 is solved, lo = hi = x0.  NumericalError(fail(i, side))
-    names the first row still going after _MAX_BRACKET steps (side "above"
-    or "below"), else the first halved to 0 (side "zero").
-
-    Instead of taking the steps one at a time, each row searches on its step
-    count j: it probes x0 * 2**+-p for p = 1, 2, 4, ... (one p for all rows,
-    capped at _MAX_BRACKET) until it stops, bisects j in (p/2, p] to the
-    first stopping step J, and takes the bracket x0 * 2**+-(J-1),
-    x0 * 2**+-J from np.ldexp.  In the normal range doubling and halving
-    are exact and an overflow is inf either way, so these are the loop's
-    bits.  The search finds the loop's J because the excess is nonincreasing
-    along the lattice x0 * 2**+-j apart from NaN: a convex N with N(0) = 0
-    has N(2t) >= 2 N(t), so each step moves N, and the modular, by a factor
-    of at least 2, which rounding cannot reverse.  A row whose probe reads
-    NaN (which the loop steps past) or lands below the smallest normal float
-    (where each halving rounds) takes the loop's steps from x0 instead."""
+    (root above x) to negative: double x while the excess is positive and
+    halve it while negative, one step per call (a NaN keeps a row going,
+    downward at x0), overflowing silently.  Returns (lo, hi, todo): the
+    brackets and the rows to bisect; a row whose excess at x0 is 0 is
+    solved, lo = hi = x0.  NumericalError(fail(i, side)) names the first row
+    still going after _MAX_BRACKET steps (side "above" or "below"), else the
+    first halved to 0 (side "zero")."""
     every = np.arange(x0.size)
     e0 = excess(x0, every)
     up = e0 > 0.0
-    sign = np.where(up, 1, -1)
     lo, hi = x0.copy(), x0.copy()
-    todo = every[e0 != 0.0]
-    a, b = np.zeros(x0.size, dtype=int), np.zeros(x0.size, dtype=int)
-    slow, failed = [todo[:0]], []
-    rows, p, last = todo, 1, 0
-    while rows.size:  # gallop: step `last` goes on for every row still here
-        s = sign[rows]
-        x = np.ldexp(x0[rows], s * p)
-        e = excess(x, rows)
-        odd = np.isnan(e) | (x < _TINY)
-        stop = s * e <= 0.0
-        slow.append(rows[odd])
-        hit = rows[stop & ~odd]
-        a[hit], b[hit] = last, p
-        rows = rows[~(stop | odd)]
-        if p == _MAX_BRACKET:
-            failed.append(rows)
-            break
-        last, p = p, min(2 * p, _MAX_BRACKET)
-    rows = every[b > 0]
-    a_r, b_r = a[rows], b[rows]
-    stops = np.zeros(x0.size, dtype=int)
-    while rows.size:  # bisect: step a_r goes on, step b_r stops
-        fin = b_r - a_r == 1
-        if fin.any():
-            stops[rows[fin]] = b_r[fin]
-            keep = ~fin
-            rows, a_r, b_r = rows[keep], a_r[keep], b_r[keep]
-            if not rows.size:
-                break
-        mid = (a_r + b_r) // 2
-        s = sign[rows]
-        e = excess(np.ldexp(x0[rows], s * mid), rows)
-        stop = s * e <= 0.0
-        a_r, b_r = np.where(stop, a_r, mid), np.where(stop, mid, b_r)
-        odd = np.isnan(e)
-        if odd.any():
-            slow.append(rows[odd])
-            keep = ~odd
-            rows, a_r, b_r = rows[keep], a_r[keep], b_r[keep]
-    fast = every[stops > 0]
-    j = sign[fast] * stops[fast] - up[fast]
-    lo[fast], hi[fast] = np.ldexp(x0[fast], j), np.ldexp(x0[fast], j + 1)
-    rows = np.sort(np.concatenate(slow))
-    for _ in range(_MAX_BRACKET):  # the scalar loop's steps, row by row
+    rows = todo = every[e0 != 0.0]
+    for _ in range(_MAX_BRACKET):
         if not rows.size:
             break
         r_up, lo_r, hi_r = up[rows], lo[rows], hi[rows]
@@ -358,10 +303,8 @@ def _bracket_rows(excess, x0: np.ndarray, fail):
         lo[rows], hi[rows] = lo_r, hi_r
         e = excess(np.where(r_up, hi_r, lo_r), rows)
         rows = rows[np.where(r_up, ~(e <= 0.0), ~(e >= 0.0))]
-    failed = np.concatenate([rows, *failed])
-    if failed.size:
-        i = failed.min()
-        raise NumericalError(fail(i, "above" if up[i] else "below"))
+    if rows.size:
+        raise NumericalError(fail(rows[0], "above" if up[rows[0]] else "below"))
     zero = todo[lo[todo] == 0.0]
     if zero.size:
         raise NumericalError(fail(zero[0], "zero"))
@@ -373,8 +316,12 @@ def _bracket_rows(excess, x0: np.ndarray, fail):
 @np.errstate(over="ignore", divide="ignore")
 def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
     """Element i solves N(t) = u[i] for t > 0: closed form where N states its
-    exponents, else _bracket_rows on u - N(t) from t = 1, widened to the
-    bracket [1, 2**j] or [2**-j, 1], and _bisect_rows to INV_REL_TOL."""
+    exponents, else _bisect_rows to INV_REL_TOL on [1, 2**J] (u[i] above
+    N(1)) or [2**-J, 1] (below, or N(1) NaN).  J is the first step of
+    doubling or halving t from 1 at which N(t) reaches u[i].  One evaluation
+    of N on the lattice 2**+-j (exact down to 2**-1074; 2**-1075 reads 0, as
+    halving reads it) gives every J, by a search on the running maximum of
+    N(2**j) for u[i], or of -N(2**-j) for -u[i], with NaN read as -inf."""
     us = u.tolist()
     bad = ~(u > 0)
     if bad.any():
@@ -383,37 +330,54 @@ def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
     if e is not None:
         return _pow_each(u, np.where(u <= 1.0, 1.0 / e[0], 1.0 / e[1]))
 
-    def value(t: np.ndarray) -> np.ndarray:
-        return np.asarray(N.value(t), dtype=float)
+    def reach(v: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return 1 + np.searchsorted(np.maximum.accumulate(np.where(np.isnan(v), -np.inf, v)), target)
 
-    def fail(i: int, side: str) -> str:
-        if side == "zero":
-            return f"N inverse bracketing underflows to t = 0 for u={us[i]}"
-        return f"failed to bracket N inverse {side} for u={us[i]}"
+    j = np.arange(1, _MAX_BRACKET + 1)
+    with np.errstate(invalid="ignore"):
+        n = np.asarray(N.value(np.ldexp(1.0, np.r_[0, j, -j])), dtype=float)
+    e0 = u - n[0]
+    up = e0 > 0.0
+    steps = np.where(up, reach(n[j], u), reach(-n[j + _MAX_BRACKET], -u))
+    # u = inf reaches no step: doubling stops where u - N(t) <= 0, NaN at N(t) = inf.
+    steps[up & (u == np.inf)] = _MAX_BRACKET + 1
+    steps[e0 == 0.0] = 0  # solved at t = 1
+    failed = np.flatnonzero(steps > _MAX_BRACKET)
+    if failed.size:
+        side = "above" if up[failed[0]] else "below"
+        raise NumericalError(f"failed to bracket N inverse {side} for u={us[failed[0]]}")
+    edge = np.ldexp(1.0, np.where(up, steps, -steps))
+    zero = edge == 0.0
+    if zero.any():
+        raise NumericalError(f"N inverse bracketing underflows to t = 0 for u={us[zero.argmax()]}")
+    lo, hi = np.where(up, 1.0, edge), np.where(up, edge, 1.0)
+    return _bisect_rows(lambda t, r: N.value(t) < u[r], lo, hi, np.flatnonzero(steps), INV_REL_TOL)
 
-    lo, hi, todo = _bracket_rows(lambda t, r: u[r] - value(t), np.ones(u.size), fail)
-    lo, hi = np.minimum(lo, 1.0), np.maximum(hi, 1.0)
-    return _bisect_rows(lambda t, r: value(t) < u[r], lo, hi, todo, INV_REL_TOL)
 
-
+@np.errstate(over="ignore")
 def fundamentals(space: SpaceSpec, t) -> np.ndarray:
     """Element i is the norm of the indicator of a set of measure t[i].  An
     Orlicz space inverts N at 1/t, so there t below 2**-1024 is refused, and
-    t = inf gives 1/N^-1(0) = inf."""
+    t = inf gives 1/N^-1(0) = inf.  A finite t whose norm leaves the positive
+    finite floats is a NumericalError."""
     t = np.array(t, dtype=float, ndmin=1)
     bad = ~(t > 0)
     if bad.any():
         raise ValueError(f"positive t required, got {t.tolist()[int(np.argmax(bad))]}")
     if isinstance(space, Lorentz):
-        return _pow_each(np.asarray(space.psi.value(t), dtype=float), 1.0 / space.q)
-    with np.errstate(over="ignore"):
+        out = _pow_each(np.asarray(space.psi.value(t), dtype=float), 1.0 / space.q)
+    else:
         u = 1.0 / t
-    bad = np.isinf(u)
+        bad = np.isinf(u)
+        if bad.any():
+            t_bad = t.tolist()[int(np.argmax(bad))]
+            raise ValueError(f"t with a finite reciprocal required, got {t_bad}")
+        out, live = np.full(t.size, np.inf), u > 0.0
+        out[live] = 1.0 / _inverse_rows(space.N, u[live])
+    bad = ~((out > 0.0) & (out < np.inf)) & (t < np.inf)
     if bad.any():
         t_bad = t.tolist()[int(np.argmax(bad))]
-        raise ValueError(f"t with a finite reciprocal required, got {t_bad}")
-    out, live = np.full(t.size, np.inf), u > 0.0
-    out[live] = 1.0 / _inverse_rows(space.N, u[live])
+        raise NumericalError(f"fundamental function leaves the float range at t={t_bad}")
     return out
 
 
@@ -489,7 +453,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     f(0) * (1 + 2**-30) confirms the bracket.  A row whose modular at u0 or
     at the far end is not finite and positive, whose far end leaves the
     normal floats, or whose far value does not change sign, is bracketed
-    from u0 by _bracket_rows instead, which names the failures.
+    from u0 by doubling or halving u (_bracket_rows), which names failures.
     """
     e = N.exponents()
     if e is not None and e[0] == e[1]:

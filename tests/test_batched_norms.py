@@ -653,16 +653,67 @@ def test_inverse_bracket_failure_names_the_first_failing_u(us):
         _inverse_rows(Between(), np.array([0.25]))
 
 
+@dataclass(frozen=True)
+class Holed(FnSpec):
+    """t**2, but NaN on [2**-5, 2**-2] and on [2**2, 2**5]."""
+
+    kind = "holed"
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.where((2.0**-5 <= t) & (t <= 2.0**-2) | (4.0 <= t) & (t <= 32.0), np.nan, t * t)
+        return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize(
+    "N,us",
+    [
+        (PowerLog(2.0, 1.0), [5e-324, 1e-320, 1e300]),  # subnormal u: J = 537 and 532
+        (PowerLog(2.0, -1.0), [5e-324, 1e-320, 1e300]),  # NaN at t = inf, on the lattice
+        (PowerLog(1.01, -0.5), [1e300]),  # J = 992: next to N's overflow, then NaN
+        (Holed(), [1e-300, 0.001, 100.0, 1e300]),  # steps past NaN both ways
+    ],
+    ids=["power_log", "power_log-c<0", "power_log-a1.01-c<0", "holed"],
+)
+def test_inverse_lattice_lookup_equals_the_scalar_loop(N, us):
+    """The lattice evaluation reads N at 2**+-1100, where 2**1024 on is inf
+    and 2**-1075 on is 0, with no warning; each root is the scalar loop's."""
+    assert _inverse_rows(N, np.array(us)).tolist() == [reference_inverse(N, u) for u in us]
+
+
+@pytest.mark.parametrize(
+    "N",
+    [PowerLog(2.0, 1.0), PowerLog(2.0, -1.0), NS[3], Between()],
+    ids=["power_log", "power_log-c<0", "table", "between"],
+)
+def test_inverse_of_inf_fails_above(N):
+    """u = inf reaches no step: the step loop's test inf - N(t) <= 0 is NaN
+    where N(t) = inf, so it fails above, not at the first t with N(t) = inf."""
+    with pytest.raises(NumericalError, match="^failed to bracket N inverse above for u=inf$"):
+        _inverse_rows(N, np.array([2.0, math.inf, 0.5]))
+
+
+def test_inverse_at_n_of_one_is_solved_on_the_lattice(counted):
+    """u == N(1) is solved at t = 1: one lattice evaluation and no bisection."""
+    N, calls = counted(PowerLog(2.0, 1.0))
+    u = N.value(1.0)
+    calls.clear()
+    got = _inverse_rows(N, np.array([u])).tolist()
+    assert calls == [2 * _MAX_BRACKET + 1]
+    assert got == [1.0] == [reference_inverse(N, u)]
+
+
 def test_block_weights_bracket_up_and_down_rows_in_the_same_steps(counted):
-    """Work count for the power_log weights on [-512, 512]: 217 N.value calls,
-    200 of them the bisection's, which stops at its cap.  The bracket took
-    457 when it stepped once per call, and 711 when the rows above t = 1 and
-    those below had a bracketing loop each."""
+    """Work count for the power_log weights on [-512, 512]: 201 N.value calls,
+    one on the lattice 2**+-j that brackets every row and 200 the bisection's,
+    which stops at its cap.  A galloping search on the step count took 217,
+    the bracket 457 when it stepped once per call, and 711 when the rows
+    above t = 1 and those below had a bracketing loop each."""
     N, calls = counted(PowerLog(2.0, 1.0))
     space = Orlicz(N)
     calls.clear()
     got = block_weights(space, -512, 512).s
-    assert len(calls) <= 217
+    assert len(calls) <= 201
     want = block_weights(Orlicz(PowerLog(2.0, 1.0)), -512, 512).s
     assert got.tobytes() == want.tobytes()
 
@@ -737,6 +788,26 @@ def test_orlicz_fundamental_at_infinity_is_inf(N):
         got = fundamentals(space, [4.0, math.inf, 0.25]).tolist()
     assert got == [fundamental(space, 4.0), math.inf, fundamental(space, 0.25)]
     assert fundamental(Lorentz(1.0, PurePower(0.5)), math.inf) == math.inf
+
+
+@pytest.mark.parametrize(
+    "space,t",
+    [
+        (Orlicz(TableFn(((1.0, 1e-100), (2.0, 2e-100)))), 2.0**-700),  # N^-1 overflows: 0
+        (Lorentz(1.0, TableFn(((1.0, 1e-290), (2.0, 2e-290)))), 2.0**-700),  # psi underflows: 0
+        (Lorentz(1.0, TableFn(((1.0, 1e280), (2.0, 2e280)))), 2.0**100),  # psi overflows: inf
+    ],
+    ids=["orlicz-zero", "lorentz-zero", "lorentz-inf"],
+)
+def test_fundamental_outside_the_float_range_is_numerical_failure(space, t):
+    """A finite t whose norm is 0 or inf is refused by name, first in order
+    (it would fail WeightSeq with a ValueError), while t = inf gives inf."""
+    message = f"^fundamental function leaves the float range at t={re.escape(str(t))}$"
+    with pytest.raises(NumericalError, match=message):
+        fundamentals(space, [1.0, t, t**1.25, math.inf])
+    with pytest.raises(NumericalError, match="^fundamental function leaves the float range"):
+        block_weights(space, -1000 if t < 1 else 0, 0 if t < 1 else 1000)
+    assert fundamentals(space, [1.0, math.inf])[1] == math.inf
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -873,9 +944,9 @@ bracket_rows = st.lists(
 @example(rows=[(0.5, 1.0, NO_NAN, 1.0), (0.0, 1.0, NO_NAN, 3.0)])  # halves to 0
 @example(
     rows=[
-        (5.0, 1.0, (10.0, 20.0), 1.0),  # a NaN only the search meets: (4, 8), not (16, 32)
+        (5.0, 1.0, (10.0, 20.0), 1.0),  # a NaN one step past the stop: (4, 8), not (16, 32)
         (5.0, 1.0, (7.0, 9.0), 1.0),  # a NaN on the first stopping step: (8, 16)
-        (20.0, 1.0, (50.0, 100.0), 1.0),  # a NaN past it that only the bisection meets
+        (20.0, 1.0, (50.0, 100.0), 1.0),  # a NaN one step past a later stop: (16, 32)
         (2.0**550, 1.0, NO_NAN, 2.0**-550),  # stops at step _MAX_BRACKET
         (2e-310, 1.0, NO_NAN, 1.134364244112401),  # halves past 2**-1022, rounding each step
     ]

@@ -719,6 +719,34 @@ def test_inverse_bracket_halving_to_zero_is_numerical_failure(command, capsys, t
     )
 
 
+def linear_table(c: float) -> dict:
+    """c * t as a two-point table."""
+    return {"kind": "table", "points": [[1, c], [2, 2 * c]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["indices", "spectrum", "report"])
+@pytest.mark.parametrize(
+    "space,k",
+    [
+        ({"type": "orlicz", "N": linear_table(1e-100)}, -1000),
+        ({"type": "lorentz", "q": 1, "psi": linear_table(1e-290)}, -1000),
+        ({"type": "lorentz", "q": 1, "psi": linear_table(1e280)}, 94),
+    ],
+    ids=["orlicz-inverse-overflows", "lorentz-psi-underflows", "lorentz-psi-overflows"],
+)
+def test_block_weight_outside_the_floats_is_numerical_failure(command, space, k, capsys, tmp_path):
+    """N(t) = 1e-100 t has N^-1(2**1000) = inf, psi(t) = 1e-290 t underflows at
+    t = 2**-1000, and psi(t) = 1e280 t overflows from t = 2**94: the weight of
+    block k is 0 or inf, which WeightSeq refused with a traceback."""
+    cfgpath = write_config(tmp_path, space=space, k_radius=1000, n_max=250)
+    code, out, err = run(capsys, command, "--config", cfgpath)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"numerical failure: fundamental function leaves the float range at t={2.0**k}\n"
+    )
+
+
 # --- the parser -----------------------------------------------------------------------
 
 
