@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -245,6 +246,8 @@ def _emit_json(obj, pieces: list[str]) -> None:
         pieces.append(_fmt_float(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)) and all(type(item) is float for item in obj):
+        pieces.append("[" + ",".join(map(_fmt_float, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         pieces.append("[")
         for i, item in enumerate(obj):
@@ -474,7 +477,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged, so it is shared; the cache saves time only for callers that
+    run main more than once in one process (tests, benchmarks, library
+    code), not for a shell invocation."""
     parser = argparse.ArgumentParser(
         prog="rispect",
         description="Dilation indices and doubling-operator spectra of "

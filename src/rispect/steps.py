@@ -250,8 +250,10 @@ def dyadic_average(x: PositionedStep) -> Seq:
     return Seq({k: math.ldexp(s, -k) for k, s in sums.items()})
 
 
-# Elements (rows x copies x base atoms) of the disjoint sums built at once.
-_CHUNK_ELEMS = 4096
+# Elements (rows x copies x base atoms) of the disjoint sums built at once:
+# the row kernels' budget, spaces._NORM_ELEMS, so that a chunk's rows of one
+# atom count are normed in one kernel evaluation.
+_CHUNK_ELEMS = 2**13
 
 
 def _disjoint_sum_chunks(

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .shifts import geometric_window
-from .spaces import SpaceSpec, _grouped_norms, space_norm
+from .spaces import NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
 from .steps import Distribution, _disjoint_sum_chunks
 
 __all__ = [
@@ -74,15 +74,22 @@ def build_witness(
 
 def lp_norm(coeffs: Sequence[float], theta: float) -> float:
     """l^p norm with p = 1/theta; theta = 0 is the sup norm."""
-    arr = np.abs(np.asarray(coeffs, dtype=float))
-    if arr.size == 0:
+    arr = np.abs(np.asarray(coeffs, dtype=float)).reshape(1, -1)
+    if not arr.any():
         return 0.0
-    m = float(arr.max())
-    if theta == 0.0 or m == 0.0:
+    return float(_lp_rows(arr, theta)[0])
+
+
+def _lp_rows(a: np.ndarray, theta: float) -> np.ndarray:
+    """Row i is the l^p norm, p = 1/theta, of the row a[i] of absolute values,
+    which must not be all zero; theta = 0 is the sup norm.  The rows are
+    scaled by their largest entry, so that a**p cannot overflow for large p,
+    and the 1/p-th power of each row sum is a Python float power."""
+    m = a.max(axis=1)
+    if theta == 0.0:
         return m
     p = 1.0 / theta
-    # Scaled by the largest entry, so that arr**p cannot overflow for large p.
-    return m * float(((arr / m) ** p).sum()) ** (1.0 / p)
+    return m * _pow_each(((a / m[:, None]) ** p).sum(axis=1), 1.0 / p)
 
 
 def standard_probes(
@@ -100,7 +107,7 @@ def standard_probes(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((seed, 7777, i)))
         )
-        probes.append([float(v) for v in rng.standard_normal(n_copies)])
+        probes.append(rng.standard_normal(n_copies).tolist())
     return probes
 
 
@@ -108,19 +115,23 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
     Signs never matter: disjoint copies see only |a_j|.  The disjoint sums of
-    the nonzero probes are built as array rows a chunk at a time, and each
-    chunk is normed through the row kernels.
+    the nonzero probes are built as array rows a chunk at a time; each chunk
+    is normed through the row kernels and its p-norms taken as rows, so
+    memory does not grow with the number of probes.
     """
     for a in probe_coeffs:
         if len(a) != fam.n_copies:
             raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
-    live = [a for a in probe_coeffs if any(v != 0.0 for v in a)]
-    coeffs = np.array(live, dtype=float).reshape(len(live), fam.n_copies)
-    nums: list[float] = []
+    coeffs = np.array(probe_coeffs, dtype=float).reshape(len(probe_coeffs), fam.n_copies)
+    coeffs = coeffs[(coeffs != 0.0).any(axis=1)]
+    worst, start = 1.0, 0
     for rows in _disjoint_sum_chunks(coeffs, fam.base):
-        nums += _grouped_norms(fam.space, [(v, m, None) for v, m in rows]).tolist()
-    worst = 1.0
-    for a, num in zip(live, nums):
-        ratio = num / lp_norm(a, fam.theta)
-        worst = max(worst, ratio, 1.0 / ratio)
+        nums = _grouped_norms(fam.space, [(v, m, None) for v, m in rows])
+        if not nums.all():
+            raise NumericalError("the disjoint sum of a nonzero probe underflows to 0")
+        stop = start + len(rows)
+        ratio = nums / _lp_rows(np.abs(coeffs[start:stop]), fam.theta)
+        start = stop
+        # fmax skips a NaN ratio (inf / inf), as max(worst, ratio) does.
+        worst = float(np.fmax.reduce(np.fmax(ratio, 1.0 / ratio), initial=worst))
     return worst

@@ -8,11 +8,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -747,6 +749,85 @@ def test_block_weight_outside_the_floats_is_numerical_failure(command, space, k,
     )
 
 
+# --- JSON emission ----------------------------------------------------------------
+
+
+def reference_emit_json(obj, pieces: list[str]) -> None:
+    """The recursive emitter, one piece per scalar, before lists of floats
+    were joined at once."""
+    if obj is None:
+        pieces.append("null")
+    elif obj is True:
+        pieces.append("true")
+    elif obj is False:
+        pieces.append("false")
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        pieces.append(cli._fmt_float(obj))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        pieces.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                pieces.append(",")
+            reference_emit_json(item, pieces)
+        pieces.append("]")
+    elif isinstance(obj, dict):
+        pieces.append("{")
+        for i, (key, val) in enumerate(obj.items()):
+            if i:
+                pieces.append(",")
+            pieces.append(json.dumps(str(key)))
+            pieces.append(":")
+            reference_emit_json(val, pieces)
+        pieces.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_json_text(obj) -> str:
+    pieces: list[str] = []
+    reference_emit_json(obj, pieces)
+    return "".join(pieces)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), finite, finite.map(np.float64), st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.lists(finite, max_size=12),  # the lists of plain floats joined at once
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(obj=json_values)
+def test_json_text_equals_the_recursive_emitter(obj):
+    assert cli.to_json_text(obj) == reference_json_text(obj)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "shape",
+    [lambda x: [1.0, x, 2.0], lambda x: (x,), lambda x: {"a": [0.5, x]}, lambda x: [1, x], lambda x: x],
+    ids=["float-list", "float-tuple", "nested", "mixed-list", "scalar"],
+)
+def test_non_finite_float_fails_as_the_recursive_emitter(bad, shape):
+    with pytest.raises(NumericalError) as want:
+        reference_json_text(shape(bad))
+    with pytest.raises(NumericalError, match=re.escape(str(want.value))):
+        cli.to_json_text(shape(bad))
+
+
 # --- the parser -----------------------------------------------------------------------
 
 
@@ -786,6 +867,35 @@ def test_help_lists_every_command(capsys):
     lines = capsys.readouterr().out.splitlines()
     for name, (help_text, _) in cli._COMMANDS.items():
         assert any(line.split(None, 1) == [name, help_text] for line in lines), name
+
+
+def fresh_run(*argv) -> tuple[int, str, str]:
+    """The command run in a new interpreter, which builds its own parser."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "rispect.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_successive_calls(capsys, datadir):
+    """The parser is built once per process: calls with other commands and
+    flags, a bad command line among them, print what fresh processes print,
+    and --help still lists every command."""
+    calls = [
+        ("witness", "--config", str(datadir / "config_witness.json"), "--seed", "3"),
+        ("indices", "--config", str(datadir / "config_l1.json"), "--nmax", "8", "--krange", "40"),
+        ("spectrum", "--config", str(datadir / "config_quarter.json")),
+    ]
+    with pytest.raises(SystemExit):
+        main(["indices", "--nmax", "x"])
+    capsys.readouterr()
+    for argv in calls:
+        assert run(capsys, *argv) == fresh_run(*argv)
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert (exc.value.code, *capsys.readouterr()) == fresh_run("--help")
 
 
 def test_options_before_the_command(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import tracemalloc
@@ -15,6 +16,8 @@ from rispect import (
     Distribution,
     Lorentz,
     NumericalError,
+    Orlicz,
+    PiecewisePower,
     PurePower,
     space_norm,
     build_witness,
@@ -22,6 +25,8 @@ from rispect import (
     lp_norm,
     standard_probes,
 )
+from rispect.witness import _lp_rows
+from rispect import cli, spaces
 from rispect.spaces import _grouped_norms
 from rispect.steps import MERGE_REL_TOL, _CHUNK_ELEMS, _disjoint_sum_chunks
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
@@ -80,6 +85,19 @@ def test_distortion_rejects_length_mismatch(quarter):
         distortion(fam, [[1.0, 0.0]])
 
 
+def reference_lp_norm(coeffs, theta: float) -> float:
+    """lp_norm as one scalar formula per probe, the form it had before the
+    p-norms were taken as rows."""
+    arr = np.abs(np.asarray(coeffs, dtype=float))
+    if arr.size == 0:
+        return 0.0
+    m = float(arr.max())
+    if theta == 0.0 or m == 0.0:
+        return m
+    p = 1.0 / theta
+    return m * float(((arr / m) ** p).sum()) ** (1.0 / p)
+
+
 def reference_distortion(fam, probes) -> float:
     """distortion as one scalar norm per probe, the form it had before the
     probes were normed as rows."""
@@ -90,7 +108,7 @@ def reference_distortion(fam, probes) -> float:
         if not any(v != 0.0 for v in a):
             continue
         num = reference_norm(fam.space, reference_disjoint_sum(a, fam.base))
-        ratio = num / lp_norm(a, fam.theta)
+        ratio = num / reference_lp_norm(a, fam.theta)
         worst = max(worst, ratio, 1.0 / ratio)
     return worst
 
@@ -314,3 +332,177 @@ def test_distortion_memory_is_bounded_per_chunk(space, n_random):
     finally:
         tracemalloc.stop()
     assert peak < 1_500_000
+
+
+# --- p-norms as rows ---------------------------------------------------------------
+
+magnitude = st.one_of(
+    st.floats(5e-324, 1e-300),  # subnormal and tiny
+    st.floats(1e-300, 1e300),
+    st.integers(-1074, 996).map(lambda k: 2.0**k),
+    st.sampled_from([1.0, 0.5, 3.0]),  # ties between entries
+)
+entry = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    magnitude,
+    magnitude.map(lambda x: -x),
+)
+theta_value = st.one_of(st.sampled_from([0.0, 1.0, 1e-6]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def p_norm_rows(draw) -> tuple[list[list[float]], int]:
+    """1-70 rows of 1-40 entries, and a chunk length to slice them by."""
+    n_copies = draw(st.integers(1, 40))
+    row = st.lists(entry, min_size=n_copies, max_size=n_copies)
+    rows = draw(st.lists(row, min_size=1, max_size=70))
+    return rows, draw(st.integers(1, len(rows)))
+
+
+@settings(max_examples=200)
+@given(family=p_norm_rows(), theta=theta_value)
+def test_row_p_norms_equal_the_scalar_formula(family, theta):
+    """Each row's p-norm is the scalar formula's, bit for bit, whichever rows
+    share its chunk and wherever the chunk starts; lp_norm is the one-row
+    call and also takes the all-zero rows, which distortion drops."""
+    rows, step = family
+    for a in rows:
+        assert lp_norm(a, theta) == reference_lp_norm(a, theta)
+    live = np.array([a for a in rows if any(v != 0.0 for v in a)]).reshape(-1, len(rows[0]))
+    got = []
+    for start in range(0, len(live), step):
+        got += _lp_rows(np.abs(live[start : start + step]), theta).tolist()
+    assert got == [reference_lp_norm(a, theta) for a in live.tolist()]
+
+
+def per_probe_distortion(fam, probes) -> float:
+    """distortion as a loop over probes: each probe's row norm, and the
+    scalar p-norm formula.  A nonzero probe whose disjoint sum underflows to
+    no atoms has norm 0, and its ratio divides by 0."""
+    worst = 1.0
+    for a in probes:
+        if any(v != 0.0 for v in a):
+            ratio = row_norms(fam.space, [a], fam.base)[0] / reference_lp_norm(a, fam.theta)
+            worst = max(worst, ratio, 1.0 / ratio)
+    return worst
+
+
+@st.composite
+def witness_cases(draw):
+    """A family of 1-40 copies of a window of 3 to 30 blocks at either end,
+    and probes of free entries, sign patterns and decays: wide families
+    span several chunks."""
+    n_copies = draw(st.integers(1, 40))
+    window_n = draw(st.sampled_from([3, 10, 30]))
+    k = draw(st.sampled_from([-(window_n + 40), 40]))
+    return n_copies, window_n, k, draw(theta_value.filter(lambda t: t > 0.0)), draw(probe_rows(n_copies))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+@settings(max_examples=25)
+@given(case=witness_cases())
+def test_distortion_equals_a_per_probe_loop(space, case):
+    """Bit for bit the loop, or the same failure: a norm the kernels cannot
+    take is a NumericalError in both, and a probe whose sum underflows to 0
+    is a NumericalError where the loop divides by 0."""
+    n_copies, window_n, k, theta, probes = case
+    fam = build_witness(space, 2.0**theta, n_copies, window_n, k)
+    try:
+        want = per_probe_distortion(fam, probes)
+    except (NumericalError, ZeroDivisionError):
+        with pytest.raises(NumericalError):
+            distortion(fam, probes)
+        return
+    assert distortion(fam, probes) == want
+
+
+def test_probe_whose_sum_underflows_is_numerical_failure(quarter):
+    """Every product of this probe with the base values (about 6.6e-11)
+    rounds to 0, so its disjoint sum has no atoms and norm 0."""
+    fam = build_witness(quarter, 2.0**0.5, 3, 8, 40)
+    assert fam.base.max_value() < 0.5
+    with pytest.raises(NumericalError, match="underflows to 0"):
+        distortion(fam, [[1.0, 0.0, 0.0], [5e-324] * 3])
+
+
+def test_witness_command_norms_each_chunk_group_once(capsys, tmp_path, monkeypatch):
+    """One witness command in the report-sweep shape (Orlicz power_log(2, 1),
+    17 copies, windows 8 and 32, 40 random probes) makes 13 row-kernel
+    evaluations: one per window to normalize its base, and one per atom
+    count of each chunk of disjoint sums (18 with chunks of 4096 products)."""
+    calls = []
+
+    def counted_norm_rows(space, values, measures):
+        calls.append(measures.shape)
+        return norm_rows(space, values, measures)
+
+    norm_rows = spaces._norm_rows
+    monkeypatch.setattr(spaces, "_norm_rows", counted_norm_rows)
+    cfg = {
+        "space": {"type": "orlicz", "N": {"kind": "power_log", "a": 2, "c": 1}},
+        "k_radius": 64,
+        "n_max": 16,
+        "probe_k_radius": 16,
+        "witness": {"theta": 0.5, "n_copies": 17, "windows": [8, 32], "n_random": 40},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["witness", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 13
+
+
+# --- certificates: distortion tends to 1 exactly on the frep set ------------------
+
+LORENTZ_QUARTER = Lorentz(1, PiecewisePower(0.25, 0.75))
+ORLICZ_PIECEWISE = Orlicz(PiecewisePower(1.5, 3.0))
+
+
+def end_distortions(space, p: float, end: str) -> list[float]:
+    """Distortion of 16 copies under the CLI's probes (100 random, seed
+    0x5EED) at windows 4, 16 and 64, each starting at -(n + 40) (the zero
+    end) or at block 40 (the infinity end)."""
+    theta = 1.0 / p
+    probes = standard_probes(16, theta, 0x5EED, 100)
+    return [
+        distortion(build_witness(space, 2.0**theta, 16, n, -(n + 40) if end == "zero" else 40), probes)
+        for n in (4, 16, 64)
+    ]
+
+
+@pytest.mark.parametrize(
+    "space, p, end, want",
+    [
+        # psi = t^(1/4) near 0 and t^(3/4) near infinity: frep set {4, 4/3}.
+        (LORENTZ_QUARTER, 4.0, "zero", [1.2023, 1.0945, 1.0312]),
+        (LORENTZ_QUARTER, 4.0 / 3.0, "inf", [1.0769, 1.0276, 1.0099]),
+        # N = t^3 for large t (the zero end) and t^1.5 for small t: {3, 1.5}.
+        (ORLICZ_PIECEWISE, 3.0, "zero", [1.0, 1.0, 1.0]),
+        (ORLICZ_PIECEWISE, 1.5, "inf", [1.0, 1.0, 1.0]),
+    ],
+    ids=["lorentz-p4-zero", "lorentz-p4/3-inf", "orlicz-p3-zero", "orlicz-p1.5-inf"],
+)
+def test_distortion_falls_to_one_for_p_in_the_frep_set(space, p, end, want):
+    got = end_distortions(space, p, end)
+    assert got == pytest.approx(want, abs=1e-4)
+    # Falling with the window, up to rounding where it is 1 throughout.
+    assert all(b <= a + 1e-12 for a, b in zip(got, got[1:]))
+    assert got[-1] <= 1.05
+
+
+@pytest.mark.parametrize(
+    "space, p, end",
+    [
+        (LORENTZ_QUARTER, 2.0, "zero"),
+        (LORENTZ_QUARTER, 2.0, "inf"),
+        (LORENTZ_QUARTER, 4.0, "inf"),
+        (LORENTZ_QUARTER, 4.0 / 3.0, "zero"),
+        (ORLICZ_PIECEWISE, 2.0, "zero"),
+        (ORLICZ_PIECEWISE, 2.0, "inf"),
+        # The default window start, -(n + 40), certifies only the zero end's p.
+        (ORLICZ_PIECEWISE, 1.5, "zero"),
+        (ORLICZ_PIECEWISE, 3.0, "inf"),
+    ],
+)
+def test_distortion_stays_away_from_one_outside_the_frep_set(space, p, end):
+    assert min(end_distortions(space, p, end)) >= 1.5
