@@ -915,7 +915,10 @@ def test_options_before_the_command(capsys, tmp_path):
 # each window's values lie at or below its norm, where N is t**1.5, so every
 # ratio is the same for all those k.  orlicz_powerlog, a small probe-orlicz
 # shape whose norms need secant roots, is pinned at its first recording.  The
-# witness command exits 2 where a config has no witness.
+# witness command exits 2 where a config has no witness.  The two _wide
+# configs scan windows out to block 900, where Luxemburg rows lie past the
+# slope bracket; only their residuals are pinned, recorded where those rows
+# were still bracketed by doubling or halving u one step at a time.
 DATA_OUTPUTS = {
     ("l1", "indices"): (0, "617136a398e3077d"),
     ("l1", "spectrum"): (0, "26174f92ab685a24"),
@@ -941,12 +944,14 @@ DATA_OUTPUTS = {
     ("orlicz_piecewise", "residuals"): (0, "2cf125c8aa22ec08"),
     ("orlicz_piecewise", "witness"): (2, "175ec17f77160285"),
     ("orlicz_piecewise", "report"): (0, "3c7a6dce2c0083ff"),
+    ("orlicz_piecewise_wide", "residuals"): (0, "1a1df87a90162136"),
     ("orlicz_powerlog", "indices"): (0, "874b9a32ce2ded28"),
     ("orlicz_powerlog", "spectrum"): (0, "f31699f7ad72c0ab"),
     ("orlicz_powerlog", "probe"): (0, "3bb9dcfe67ded8a3"),
     ("orlicz_powerlog", "residuals"): (0, "313f19c9090435df"),
     ("orlicz_powerlog", "witness"): (2, "175ec17f77160285"),
     ("orlicz_powerlog", "report"): (0, "1dcb746a56d7c46a"),
+    ("orlicz_powerlog_wide", "residuals"): (0, "3880ebc02af2162d"),
     ("orlicz_square", "indices"): (0, "2f2093874c47b646"),
     ("orlicz_square", "spectrum"): (0, "55cbdd5a100b7518"),
     ("orlicz_square", "probe"): (0, "ba82375cf8ad4429"),
