@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .steps import Distribution, Seq, dyadic_sample
+from .steps import _NORM_ELEMS, Distribution, Seq, dyadic_sample
 
 __all__ = [
     "NumericalError",
@@ -50,12 +50,10 @@ _MAX_BISECT = 200
 # steps on the benchmark spaces.
 _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
-# Largest step count j of a bracket x0 * 2**+-j: block measures reach
-# 2**+-1000, which puts a root hundreds of doublings from its first guess.
-# The Orlicz inverse reads its steps off one evaluation of N at 2**+-j for
-# every j up to this cap; a Luxemburg fallback bracket steps up to it.
+# Largest step count j of the Orlicz inverse's bracket [1, 2**j] or
+# [2**-j, 1], read off one evaluation of N at 2**+-j for every j up to this
+# cap: 2**+-1100 covers the float range and block measures up to 2**+-1000.
 _MAX_BRACKET = 1100
-_TINY = np.finfo(float).tiny
 
 
 class NumericalError(ArithmeticError):
@@ -280,39 +278,8 @@ def _pow_each(x: np.ndarray, e) -> np.ndarray:
     return np.array(list(map(pow, x.tolist(), np.broadcast_to(e, x.shape).tolist())))
 
 
-@np.errstate(over="ignore")
-def _bracket_rows(excess, x0: np.ndarray, fail):
-    """Bracket each row's root, where excess(x, rows) turns from positive
-    (root above x) to negative: double x while the excess is positive and
-    halve it while negative, one step per call (a NaN keeps a row going,
-    downward at x0), overflowing silently.  Returns (lo, hi, todo): the
-    brackets and the rows to bisect; a row whose excess at x0 is 0 is
-    solved, lo = hi = x0.  NumericalError(fail(i, side)) names the first row
-    still going after _MAX_BRACKET steps (side "above" or "below"), else the
-    first halved to 0 (side "zero")."""
-    every = np.arange(x0.size)
-    e0 = excess(x0, every)
-    up = e0 > 0.0
-    lo, hi = x0.copy(), x0.copy()
-    rows = todo = every[e0 != 0.0]
-    for _ in range(_MAX_BRACKET):
-        if not rows.size:
-            break
-        r_up, lo_r, hi_r = up[rows], lo[rows], hi[rows]
-        lo_r, hi_r = np.where(r_up, hi_r, 0.5 * lo_r), np.where(r_up, 2.0 * hi_r, lo_r)
-        lo[rows], hi[rows] = lo_r, hi_r
-        e = excess(np.where(r_up, hi_r, lo_r), rows)
-        rows = rows[np.where(r_up, ~(e <= 0.0), ~(e >= 0.0))]
-    if rows.size:
-        raise NumericalError(fail(rows[0], "above" if up[rows[0]] else "below"))
-    zero = todo[lo[todo] == 0.0]
-    if zero.size:
-        raise NumericalError(fail(zero[0], "zero"))
-    return lo, hi, todo
-
-
-# The kernels below overflow to inf, and the roots divide by 0, silently;
-# callers turn a non-finite result into NumericalError.
+# The kernels below overflow to inf (and inf * 0 to NaN), and the roots
+# divide by 0, silently; callers turn a non-finite result into NumericalError.
 @np.errstate(over="ignore", divide="ignore")
 def _inverse_rows(N: FnSpec, u: np.ndarray) -> np.ndarray:
     """Element i solves N(t) = u[i] for t > 0: closed form where N states its
@@ -386,7 +353,7 @@ def fundamental(space: SpaceSpec, t: float) -> float:
     return float(fundamentals(space, [t])[0])
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _lorentz_rows(values: np.ndarray, cum: np.ndarray, q: float, psi: FnSpec) -> np.ndarray:
     """Row i: (sum_j v_ij**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i = cum[i]
     the cumulative sums of row i's measures; values is one row per row of
@@ -449,11 +416,15 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     f(x) = log modular(u0 * e**x) = 0 with _secant_rows, u0 = max_j
     values_ij.  N convex with N(0) = 0 has N(l t) >= l N(t) for l >= 1, so
     f falls by at least d over every step d: the root lies between 0 and
-    f(0), and within |f(x)| of any x.  One evaluation at the far end
-    f(0) * (1 + 2**-30) confirms the bracket.  A row whose modular at u0 or
-    at the far end is not finite and positive, whose far end leaves the
-    normal floats, or whose far value does not change sign, is bracketed
-    from u0 by doubling or halving u (_bracket_rows), which names failures.
+    f(0), and within |f(x)| of any x.  The bracket search steps x from 0
+    toward the root (up where f(0) > 0, else down, so a NaN goes down): first
+    to f(0) * (1 + 2**-30), or to +-1 where f(0) is not finite, then doubling
+    x until f changes sign (a NaN keeps a row going), and passes the last two
+    points to _secant_rows.  A step that would leave the x where u0 * e**x is
+    a positive finite float stops at that range's edge; the next goes to
+    u = inf (a root above the floats, read as inf) or to u = 0.  A row that
+    brackets its root at u = 0, or finds no sign change at either end, is a
+    NumericalError.
     """
     e = N.exponents()
     if e is not None and e[0] == e[1]:
@@ -467,28 +438,33 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         terms = np.asarray(N.value(v / u[:, None]), dtype=float)
         return np.log((w * terms).sum(axis=1))
 
-    def fail(i: int, side: str) -> str:
-        zero = "luxemburg bracketing underflows to u = 0"
-        return zero if side == "zero" else f"luxemburg bracketing failed {side}"
-
-    every = np.arange(u0.size)
-    f0 = f(u0, every)
-    done = np.abs(f0) <= _ROOT_TOL  # solved at u0: the bracket [0, 0]
-    far = f0 * (1.0 + 2.0**-30)
-    u_far = u0 * np.exp(far)
-    rows = every[np.isfinite(f0) & ~done & (u_far >= _TINY) & (u_far < np.inf)]
-    f_far = np.full(u0.size, np.nan)
-    f_far[rows] = f(u_far[rows], rows)
-    up = f0 > 0.0
-    held = np.isfinite(f_far) & np.where(up, f_far < 0.0, f_far > 0.0)
-    a, b = np.where(held & ~up, far, 0.0), np.where(held & up, far, 0.0)
-    fa, fb = np.where(held & ~up, f_far, f0), np.where(held & up, f_far, f0)
-    slow = every[~(held | done)]
-    if slow.size:
-        # log modular has the sign of modular - 1, so it brackets the same way.
-        lo, hi, _ = _bracket_rows(lambda u, r: f(u, slow[r]), u0[slow], fail)
-        a[slow], b[slow] = np.log(lo / u0[slow]), np.log(hi / u0[slow])
-        fa[slow], fb[slow] = (f(u0[slow] * np.exp(x[slow]), slow) for x in (a, b))
+    f0 = f(u0, np.arange(u0.size))
+    a, b, fa, fb = np.zeros(u0.size), np.zeros(u0.size), f0.copy(), f0.copy()
+    rows = np.flatnonzero(~(np.abs(f0) <= _ROOT_TOL))  # the rest are solved at u0
+    # y = s * x runs toward the root, up to an edge of the floats less 2**-30
+    # for the rounding of log and exp.
+    s, m = np.where(f0[rows] > 0.0, 1.0, -1.0), u0[rows]
+    top, least = np.finfo(float).max, np.finfo(float).smallest_subnormal
+    edge = np.where(s > 0.0, np.log(top / np.maximum(m, 1.0)), -np.log(least / np.minimum(m, 1.0)))
+    edge -= 2.0**-30
+    f_last, y_last = f0[rows], np.zeros(rows.size)
+    y = np.minimum(np.where(np.isfinite(f_last), s * f_last * (1.0 + 2.0**-30), 1.0), edge)
+    # Each step doubles |x| >= 2**-50 or reaches an edge, so the search ends.
+    while rows.size:
+        fy = f(u0[rows] * np.exp(s * y), rows)
+        hit = s * fy <= 0.0
+        end = np.isinf(y) & ~(hit & (s > 0.0))  # u = 0, or no sign change at u = 0 or inf
+        if end.any():
+            i = end.argmax()
+            side = "above" if s[i] > 0.0 else "below"
+            raise NumericalError(
+                f"luxemburg bracketing {'underflows to u = 0' if hit[i] else 'failed ' + side}"
+            )
+        k, up = rows[hit], s[hit] > 0.0
+        last, new = [(s * y_last)[hit], f_last[hit]], [(s * y)[hit], fy[hit]]
+        a[k], fa[k], b[k], fb[k] = np.where(up, last + new, new + last)
+        rows, s, edge, f_last, y_last = (v[~hit] for v in (rows, s, edge, fy, y))
+        y = np.where(y_last >= edge, np.inf, np.minimum(2.0 * y_last, edge))
     return _secant_rows(f, u0, a, b, fa, fb)
 
 
@@ -514,32 +490,27 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     """Element i is the norm of the i-th distribution of ds, 0.0 when it is
     zero; a norm that overflows is a NumericalError.  ds may be any iterable,
     such as a generator: only each distribution's atom arrays are kept."""
-    norms = _grouped_norms(space, [(d.values, d.measures, None) for d in ds])
+    norms = _grouped_norms(space, [(d.values, d.measures, np.ones(1)) for d in ds])
     if not np.isfinite(norms).all():
         raise NumericalError("the norm of a distribution overflows")
     return norms.tolist()
 
 
-# Elements (rows x atoms) per row-kernel evaluation: of 2**12 to 2**15, 2**13
-# traded time against memory best on the probe benchmarks.
-_NORM_ELEMS = 2**13
-
-
 def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
     """The norms of every request's rows, request after request.  Request
     (values, measures, scales) is a distribution's canonical atoms, normed
-    with its measures times each scale, or once for scales None; no atoms
-    read 0.0.  The rows of all requests of one atom count are normed in
+    with its measures times each scale (scales [1.0] norms it as it is); no
+    atoms read 0.0.  The rows of all requests of one atom count are normed in
     order, _NORM_ELEMS elements per evaluation; only the rows of the
     evaluation at hand are built, C-contiguous.
 
     A Lorentz request's cumulative measures are summed once, on its base
     row, and scaled per row: 2**k times a partial sum rounds as the partial
     sum of the scaled measures while both stay normal floats, which every
-    shifted block row does inside |k| <= 1000 (scales None multiply by 1)."""
+    shifted block row does inside |k| <= 1000."""
     lorentz, firsts, groups = isinstance(space, Lorentz), [0], {}
     for r, (values, _, scales) in enumerate(requests):
-        firsts.append(firsts[-1] + (1 if scales is None else scales.size))
+        firsts.append(firsts[-1] + scales.size)
         if values.size and firsts[-1] > firsts[-2]:
             groups.setdefault(values.size, []).append(r)
     out = np.zeros(firsts[-1])
@@ -547,9 +518,9 @@ def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
         values = np.array([requests[r][0] for r in idx])
         measures = np.array([requests[r][1] for r in idx])
         if lorentz:
-            measures = np.cumsum(measures, axis=1)
-        scales = [requests[r][2] for r in idx]
-        scales = np.concatenate([np.ones(1) if s is None else s for s in scales])
+            with np.errstate(over="ignore"):  # an inf sum gives a non-finite norm
+                measures = np.cumsum(measures, axis=1)
+        scales = np.concatenate([requests[r][2] for r in idx])
         dest = np.concatenate([np.arange(firsts[r], firsts[r + 1]) for r in idx])
         owner = np.repeat(np.arange(len(idx)), [firsts[r + 1] - firsts[r] for r in idx])
         budget = max(1, _NORM_ELEMS // width)
@@ -582,8 +553,12 @@ def _block_request(a: Seq, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:
-    """Element i is block_norm(space, shift(a, ks[i])), bit for bit."""
-    return _grouped_norms(space, [_block_request(a, ks)])
+    """Element i is block_norm(space, shift(a, ks[i])), bit for bit; a norm
+    that overflows is a NumericalError, as in block_norm."""
+    norms = _grouped_norms(space, [_block_request(a, ks)])
+    if not np.isfinite(norms).all():
+        raise NumericalError("the norm of a distribution overflows")
+    return norms
 
 
 def dyadic_sample_norm(space: SpaceSpec, d: Distribution) -> float:

@@ -314,7 +314,7 @@ def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> list:
         raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
     measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))
     rows = _canonical_rows(np.abs(coeffs), measures) + _canonical_rows(np.abs(images), measures)
-    return [(values, measures, None) for values, measures in rows]
+    return [(values, measures, np.ones(1)) for values, measures in rows]
 
 
 def probe_lower_bound(
@@ -378,7 +378,7 @@ def _probe_bounds(space: SpaceSpec, grid: list, cfg: ProbeConfig, ix: Optional[I
             if where[-1] == len(requests):
                 requests.append(request)
         plans.append((lam, rates, np.array(where)))
-    sizes = np.array([1 if s is None else s.size for _, _, s in requests], dtype=int)
+    sizes = np.array([s.size for _, _, s in requests], dtype=int)
     firsts = np.cumsum(sizes) - sizes
     norms = _grouped_norms(space, requests)
     results = []

@@ -74,7 +74,11 @@ class Distribution:
             if measure < 0:
                 raise ValueError(f"negative measure {measure}")
             raise ValueError(f"non-finite atom ({value}, {measure})")
-        values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
+        with np.errstate(over="ignore"):
+            values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
+        if not measures.max(initial=0.0) < math.inf:
+            value = values.tolist()[int(measures.argmax())]
+            raise ValueError(f"the measures of level value {value} sum past the float range")
         # tuple() of a list allocates the exact size; from an iterator it grows
         # the tuple by resizing, which fills CPython's tuple free lists.
         object.__setattr__(self, "atoms", tuple([*zip(values.tolist(), measures.tolist())]))
@@ -250,10 +254,11 @@ def dyadic_average(x: PositionedStep) -> Seq:
     return Seq({k: math.ldexp(s, -k) for k, s in sums.items()})
 
 
-# Elements (rows x copies x base atoms) of the disjoint sums built at once:
-# the row kernels' budget, spaces._NORM_ELEMS, so that a chunk's rows of one
-# atom count are normed in one kernel evaluation.
-_CHUNK_ELEMS = 2**13
+# Elements per row-kernel evaluation (rows x atoms), and of the disjoint sums
+# built at once (rows x copies x base atoms), so that a chunk's rows of one
+# atom count are normed in one evaluation: of 2**12 to 2**15, 2**13 traded
+# time against memory best on the probe benchmarks.
+_NORM_ELEMS = 2**13
 
 
 def _disjoint_sum_chunks(
@@ -262,7 +267,7 @@ def _disjoint_sum_chunks(
     """Row i of coeffs (rows x copies) as the canonical (values, measures)
     arrays of the distribution of sum_j coeffs[i, j] * x_j, the x_j disjointly
     supported copies of a function with distribution d, yielded in chunks of
-    rows of at most about _CHUNK_ELEMS products.
+    rows of at most about _NORM_ELEMS products.
 
     Every product is checked before the first chunk, so a non-finite one
     raises Distribution's ValueError before any chunk is used.
@@ -278,7 +283,7 @@ def _disjoint_sum_chunks(
             j = int(np.argmax(~np.isfinite(row)))
             raise ValueError(f"non-finite atom ({float(row[j])}, {float(measures[j])})")
     width = measures.size
-    step = max(1, _CHUNK_ELEMS // max(width, 1))
+    step = max(1, _NORM_ELEMS // max(width, 1))
     for start in range(0, n_rows, step):
         chunk = np.abs(coeffs[start : start + step])
         # No name binds the products: they are freed before the chunk is used.

@@ -47,11 +47,9 @@ from rispect.spaces import (
     _MAX_ROOT,
     _NORM_ELEMS,
     _ROOT_TOL,
-    _TINY,
     INV_REL_TOL,
     _bisect_rows,
     _block_request,
-    _bracket_rows,
     _grouped_norms,
     _inverse_rows,
     _lorentz_rows,
@@ -88,37 +86,40 @@ SPACE_IDS = [f"lorentz-{s.psi.kind}-q{s.q:g}" for s in SPACES[:12]] + [
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
     """Root u of sum_i weights_i * N(values_i / u) = 1 (decreasing in u), as
-    one scalar loop of the row kernel's steps on f(u) = log modular(u): the
-    bracket [0, f(u0)] in log(u / u0) (or one found by doubling or halving u
-    from u0), then secant steps measured from the last point evaluated.  Its
-    floats are numpy scalars, so that a division by 0 reads inf or NaN as in
-    the kernel's arrays."""
+    one scalar loop of the row kernel's steps on f(x) = log modular(u0 e**x):
+    a search from x = 0 toward the root, first to f(0) * (1 + 2**-30) (or to
+    +-1 where f(0) is not finite), then doubling x, up to the edge where
+    u0 e**x leaves the positive floats and then to u = inf or 0, until f
+    changes sign; then secant steps measured from the last point evaluated.
+    Its floats are numpy scalars, so that a division by 0 reads inf or NaN
+    as in the kernel's arrays."""
     if isinstance(N, PurePower):
         return float(np.sum(weights * values**N.a) ** (1.0 / N.a))
 
-    def modular(u: float) -> float:
-        return float(np.sum(weights * np.asarray(N.value(values / u), dtype=float)))
-
     def f(u: float) -> np.float64:
-        return np.log(np.float64(modular(u)))
+        return np.log(np.float64(np.sum(weights * np.asarray(N.value(values / u), dtype=float))))
 
     u0 = float(values.max())
     a = b = np.float64(0.0)
     fa = fb = f0 = f(u0)
     if not abs(f0) <= _ROOT_TOL:
-        far = f0 * (1.0 + 2.0**-30)
-        u_far = u0 * float(np.exp(far))
-        f_far = f(u_far) if math.isfinite(f0) and _TINY <= u_far < math.inf else math.nan
-        if math.isfinite(f_far) and (f_far < 0.0 if f0 > 0.0 else f_far > 0.0):
-            a, b, fa, fb = (a, far, f0, f_far) if f0 > 0.0 else (far, b, f_far, f0)
+        # y = s * x runs toward the root.
+        s = 1.0 if f0 > 0.0 else -1.0
+        if s > 0.0:
+            edge = np.log(np.float64(np.finfo(float).max / max(u0, 1.0))) - 2.0**-30
         else:
-            lo, hi, side = reference_bracket(lambda u: modular(u) - 1.0, u0)
-            if side == "zero":
-                raise NumericalError("luxemburg bracketing underflows to u = 0")
-            if side is not None:
-                raise NumericalError(f"luxemburg bracketing failed {side}")
-            a, b = np.log(np.float64(lo / u0)), np.log(np.float64(hi / u0))
-            fa, fb = f(u0 * float(np.exp(a))), f(u0 * float(np.exp(b)))
+            edge = -np.log(np.float64(5e-324 / min(u0, 1.0))) - 2.0**-30
+        y_last, f_last = np.float64(0.0), f0
+        y = min(s * f0 * (1.0 + 2.0**-30) if math.isfinite(f0) else np.float64(1.0), edge)
+        while not s * (fy := f(u0 * float(np.exp(s * y)))) <= 0.0:
+            if y == math.inf:
+                raise NumericalError(f"luxemburg bracketing failed {'above' if s > 0.0 else 'below'}")
+            y_last, f_last = y, fy
+            y = np.float64(math.inf) if y >= edge else min(2.0 * y, edge)
+        if s < 0.0 and y == math.inf:
+            raise NumericalError("luxemburg bracketing underflows to u = 0")
+        last, new = (s * y_last, f_last), (s * y, fy)
+        (a, fa), (b, fb) = (last, new) if s > 0.0 else (new, last)
     if not (a < b and math.isfinite(b - a)):
         return u0 * float(np.exp(0.5 * (a + b)))
     # From here x is measured from the last point evaluated, u.
@@ -423,7 +424,7 @@ def request_lists(draw) -> list:
 
 def as_request(item) -> tuple:
     if isinstance(item, Distribution):
-        return item.values, item.measures, None
+        return item.values, item.measures, np.ones(1)
     return _block_request(*item)
 
 
@@ -732,18 +733,45 @@ def test_luxemburg_rows_bracket_far_roots_by_search(counted):
     assert got.tolist() == [reference_root(values, w, PowerLog(2.0, 1.0)) for w in weights]
 
 
+# Rows the slope point cannot bracket, each batched with rows it does: a
+# modular that overflows at the slope point (3 * 2**-347 on one value, for
+# piecewise_power) or at u0 (weights 1e308), and roots below the normal
+# floats (weights 2**-60 on values near 1e-300).
+PAST_THE_SLOPE = {
+    "one-value": (np.array([1.0]), 3.0 * np.ldexp(1.0, np.array([[-347], [-200], [0], [200]]))),
+    "three-values": (
+        np.array([3.0, 2.0, 1.0]),
+        np.array([[1e308] * 3, [1.0, 2.0, 4.0], [2.0**-1000] * 3]),
+    ),
+    "tiny-values": (
+        np.array([1e-300, 5e-301]),
+        np.array([[2.0**-100, 1.0], [1.0, 1.0], [2.0**-60] * 2]),
+    ),
+}
+# N.value calls of the doubling search in x = log(u / u0).  Doubling or
+# halving u one step per call took 123, 689, 27; 7, 522, 38; 135, 528, 28.
+PAST_THE_SLOPE_CALLS = {
+    ("piecewise_power", "one-value"): 5,
+    ("piecewise_power", "three-values"): 10,
+    ("piecewise_power", "tiny-values"): 5,
+    ("power_log", "one-value"): 7,
+    ("power_log", "three-values"): 16,
+    ("power_log", "tiny-values"): 7,
+    ("table", "one-value"): 16,
+    ("table", "three-values"): 19,
+    ("table", "tiny-values"): 5,
+}
+
+
+@pytest.mark.parametrize("rows", PAST_THE_SLOPE)
 @pytest.mark.parametrize("N", NS[1:], ids=[N.kind for N in NS[1:]])
-def test_luxemburg_rows_past_the_slope_bracket_match_scalar_root(N):
-    """Rows the slope bound cannot bracket go through the doubling and halving
-    bracket: a modular at u0 that overflows (weights 1e308) and roots below
-    the normal floats (weights 2**-60 on values near 1e-300).  Batched with
-    rows it does bracket, each norm is the scalar root's."""
-    for values, weights in (
-        (np.array([3.0, 2.0, 1.0]), np.array([[1e308] * 3, [1.0, 2.0, 4.0], [2.0**-1000] * 3])),
-        (np.array([1e-300, 5e-301]), np.array([[2.0**-100, 1.0], [1.0, 1.0], [2.0**-60] * 2])),
-    ):
-        got = _luxemburg_rows(values, weights, N)
-        assert got.tolist() == [reference_root(values, w, N) for w in weights]
+def test_luxemburg_rows_past_the_slope_bracket_match_scalar_root(counted, N, rows):
+    """Each norm is the scalar root's, in the pinned number of N.value calls."""
+    values, weights = PAST_THE_SLOPE[rows]
+    counted_N, calls = counted(N)
+    got = _luxemburg_rows(values, weights, counted_N)
+    assert len(calls) <= PAST_THE_SLOPE_CALLS[N.kind, rows]
+    assert got.tolist() == [reference_root(values, w, N) for w in weights]
 
 
 def test_luxemburg_root_past_its_step_cap_is_numerical_failure(monkeypatch):
@@ -876,112 +904,6 @@ def test_bisect_rows_equal_one_row_at_a_time(brackets, tol):
     assert (lo.tobytes(), hi.tobytes()) == (want_lo.tobytes(), want_hi.tobytes())
     assert mids.tobytes() == (0.5 * (want_lo + want_hi)).tobytes()
     assert 0 not in calls and sorted(calls, reverse=True) == calls
-
-
-# --- the shared bracket: rows in both directions against one scalar loop per row ----------
-
-
-def reference_bracket(excess, x0: float) -> tuple[float, float, str | None]:
-    """One row of _bracket_rows as a scalar loop that picks its direction at
-    x0: the bracket, and the side _bracket_rows reports for it if it fails."""
-    lo = hi = x0
-    e0 = excess(x0)
-    if e0 == 0.0:
-        return lo, hi, None
-    up = e0 > 0.0
-    for _ in range(_MAX_BRACKET):
-        if up:
-            lo, hi = hi, 2.0 * hi
-            if excess(hi) <= 0.0:
-                break
-        else:
-            lo, hi = 0.5 * lo, lo
-            if excess(lo) >= 0.0:
-                break
-    else:
-        return lo, hi, "above" if up else "below"
-    return lo, hi, "zero" if lo == 0.0 else None
-
-
-NO_NAN = (math.inf, math.inf)
-# Row i's excess is (root - x) * scale, NaN on [nan_lo, nan_hi].  A root of
-# inf or -1 runs out of steps above or below, a root of 0 halves x to 0, a
-# root at x0 is solved there, and a large scale overflows to +-inf.
-bracket_rows = st.lists(
-    st.tuples(
-        st.one_of(
-            st.floats(1e-320, 1e300),
-            st.sampled_from([0.0, -1.0, math.inf, 1.0, 0.75, 5e-324]),
-        ),
-        st.sampled_from([1.0, 3.0, 1e300, 1e308]),
-        st.one_of(
-            st.just(NO_NAN),
-            st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)).map(sorted),
-            st.sampled_from([(0.0, 0.0), (1.0, 1.0), (1e300, math.inf)]),
-        ),
-        st.sampled_from([1.0, 0.75, 3.0, 1e-300, 1e300, 5e-324]),
-    ),
-    min_size=1,
-    max_size=10,
-)
-
-
-@settings(max_examples=60)
-@given(rows=bracket_rows)
-@example(
-    rows=[
-        (3.0, 1.0, NO_NAN, 1.0),  # up
-        (0.1, 1.0, NO_NAN, 1.0),  # down
-        (1.0, 1.0, NO_NAN, 1.0),  # solved at x0
-        (5.0, 1.0, (2.0, 2.0), 1.0),  # NaN on the way up keeps going
-        (2.0, 1.0, (1.0, 1.0), 1.0),  # NaN at x0 goes down
-        (3.0, 1e308, NO_NAN, 1.0),  # +-inf excess
-        (1e-320, 1.0, NO_NAN, 1.0),  # halves into the subnormals
-    ]
-)
-@example(rows=[(0.5, 1.0, NO_NAN, 1.0), (math.inf, 1.0, NO_NAN, 1.0)])  # out of steps above
-@example(rows=[(0.0, 1.0, NO_NAN, 1.0), (-1.0, 1.0, NO_NAN, 1.0)])  # below beats zero
-@example(rows=[(0.5, 1.0, NO_NAN, 1.0), (0.0, 1.0, NO_NAN, 3.0)])  # halves to 0
-@example(
-    rows=[
-        (5.0, 1.0, (10.0, 20.0), 1.0),  # a NaN one step past the stop: (4, 8), not (16, 32)
-        (5.0, 1.0, (7.0, 9.0), 1.0),  # a NaN on the first stopping step: (8, 16)
-        (20.0, 1.0, (50.0, 100.0), 1.0),  # a NaN one step past a later stop: (16, 32)
-        (2.0**550, 1.0, NO_NAN, 2.0**-550),  # stops at step _MAX_BRACKET
-        (2e-310, 1.0, NO_NAN, 1.134364244112401),  # halves past 2**-1022, rounding each step
-    ]
-)
-@example(rows=[(math.nextafter(2.0**550, math.inf), 1.0, NO_NAN, 2.0**-550)])  # fails above
-def test_bracket_rows_equal_one_row_at_a_time(rows):
-    """Brackets bit for bit, or the failure of the first row that runs out of
-    steps, else of the first that halves to 0."""
-    root = np.array([r for r, _, _, _ in rows])
-    scale = np.array([s for _, s, _, _ in rows])
-    nan_lo = np.array([n[0] for _, _, n, _ in rows])
-    nan_hi = np.array([n[1] for _, _, n, _ in rows])
-    x0 = np.array([x for *_, x in rows])
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def excess(x, r):
-        e = (root[r] - x) * scale[r]
-        return np.where((nan_lo[r] <= x) & (x <= nan_hi[r]), math.nan, e)
-
-    want = [
-        reference_bracket(lambda x, i=i: float(excess(np.array([x]), np.array([i]))[0]), x)
-        for i, x in enumerate(x0.tolist())
-    ]
-    failures = [(side, i) for i, (_, _, side) in enumerate(want) if side is not None]
-    steps = [f for f in failures if f[0] != "zero"]
-    if failures:
-        side, i = (steps or failures)[0]
-        with pytest.raises(NumericalError, match=f"^{side} {i}$"):
-            _bracket_rows(excess, x0, lambda i, side: f"{side} {i}")
-        return
-    lo, hi, todo = _bracket_rows(excess, x0, lambda i, side: f"{side} {i}")
-    assert lo.tobytes() == np.array([w[0] for w in want]).tobytes()
-    assert hi.tobytes() == np.array([w[1] for w in want]).tobytes()
-    e0 = excess(x0, np.arange(x0.size))
-    assert todo.tolist() == [i for i, e in enumerate(e0.tolist()) if e != 0.0]
 
 
 # --- random probes: batched ratios against one scalar ratio per probe -------------------

@@ -144,3 +144,24 @@ def test_luxemburg_norm_far_from_the_largest_value_matches_mpmath(N, scale):
     for d in random_distributions(13, 20):
         d = Distribution(tuple((v, m * 2.0**scale) for v, m in d.atoms))
         assert rel_err(space_norm(space, d), luxemburg_reference(d.atoms, N)) <= bound
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        ((3.0, 1e308), (2.0, 1e308), (1.0, 1e308)),
+        ((1.0, 3.0 * 2.0**-347),),
+        ((1e-300, 2.0**-60), (5e-301, 2.0**-60)),
+    ],
+    ids=["overflow-at-u0", "overflow-at-slope-point", "root-below-normal-floats"],
+)
+@pytest.mark.parametrize("N", NS[1:], ids=[N["kind"] for N in NS[1:]])
+def test_luxemburg_norm_past_the_slope_bracket_matches_mpmath(N, atoms):
+    """Roots the slope point cannot bracket, found by the doubling search in
+    log u: a modular that overflows at the largest value (measures 1e308) or
+    at the slope point (for piecewise_power, where N(t) = t**3 overflows
+    above t = 5.6e102), and a root near 1e-306 (4.7e-309 for power_log).  Largest
+    errors seen: 2.3e-16, and 1.8e-15 for table N, which is itself good only
+    to about 2e-15 this far from its knots."""
+    space = Orlicz(fn_from_json(N))
+    assert rel_err(space_norm(space, Distribution(atoms)), luxemburg_reference(atoms, N)) <= 4e-15

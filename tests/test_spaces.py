@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispect import (
@@ -25,6 +26,7 @@ from rispect import (
     SpecJSONError,
     TableFn,
     block_norm,
+    block_norms,
     dyadic_sample_norm,
     fn_from_json,
     fn_to_json,
@@ -32,10 +34,11 @@ from rispect import (
     fundamentals,
     space_from_json,
     space_norm,
+    space_norms,
     space_to_json,
 )
 from rispect.spaces import _FN_KINDS
-from test_batched_norms import reference_root
+from test_batched_norms import NS, PSIS, reference_root
 
 atom_lists = st.lists(
     st.tuples(
@@ -267,12 +270,65 @@ def test_lorentz_norm_zero():
 
 
 @pytest.mark.parametrize(
-    "space", [Lorentz(1, PurePower(1.0)), Orlicz(PurePower(2.0)), Orlicz(PowerLog(2.0, 1.0))]
+    "space,d",
+    [
+        (Lorentz(1, PurePower(1.0)), Distribution(((1e300, 1e30),))),
+        (Orlicz(PurePower(2.0)), Distribution(((1e300, 1e30),))),
+        (Orlicz(PowerLog(2.0, 1.0)), Distribution(((1e300, 1e30),))),
+        # 2**1e6 overflows, and meets the psi step 0 of a measure 2**-60
+        # absorbed into the cumulative sum: inf * 0, with no warning.
+        (Lorentz(1e6, PurePower(1.0)), Distribution(((2.0, 1.0), (1.5, 2.0**-60)))),
+    ],
 )
-def test_norm_above_the_largest_float_is_numerical_failure(space):
+def test_norm_above_the_largest_float_is_numerical_failure(space, d):
     """A norm that overflows raises, as one that underflows to 0 does."""
     with pytest.raises(NumericalError, match="^the norm of a distribution overflows$"):
-        space_norm(space, Distribution(((1e300, 1e30),)))
+        space_norm(space, d)
+
+
+# Every N kind, and power_log with c < 0, whose N(inf) = inf * 0 reads NaN;
+# Lorentz spaces up to q = 1e6.
+extreme_spaces = st.one_of(
+    st.sampled_from([Orlicz(N) for N in NS] + [Orlicz(PowerLog(2.0, -1.0))]),
+    st.builds(Lorentz, st.one_of(st.floats(1.0, 1e6), st.just(1e6)), st.sampled_from(PSIS)),
+)
+extreme_atoms = st.tuples(st.floats(5e-324, 1.7e308), st.floats(2.0**-1074, 2.0**1023))
+extreme_coeffs = st.floats(5e-324, 1.7e308).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=600)
+@given(
+    space=extreme_spaces,
+    ds=st.lists(st.lists(extreme_atoms, min_size=1, max_size=5), min_size=1, max_size=4),
+    coeffs=st.dictionaries(st.integers(-1000, 1000), extreme_coeffs, min_size=1, max_size=5),
+    ks=st.lists(st.integers(-1000, 1000), min_size=1, max_size=4),
+)
+# A block norm that overflows (it read inf), measures whose merged sum
+# overflows, and cumulative Lorentz measures that overflow (both warned).
+@example(space=Orlicz(PurePower(2.0)), ds=[[(1.0, 1.0)]], coeffs={0: 1.5e154}, ks=[0])
+@example(space=Orlicz(PurePower(2.0)), ds=[[(1.0, 1e308), (1.0, 1e308)]], coeffs={0: 1.0}, ks=[0])
+@example(
+    space=Lorentz(1e6, PurePower(0.5)),
+    ds=[[(1.0, 1e308), (2.0, 1e308)]],
+    coeffs={0: 1.0},
+    ks=[0],
+)
+def test_norms_of_extreme_inputs_are_positive_floats_or_refused(space, ds, coeffs, ks):
+    """space_norms and block_norms give finite positive norms, or raise
+    NumericalError or ValueError, with no warning, for values from the least
+    subnormal to 1.7e308 and measures from 2**-1074 to 2**1023."""
+    calls = [
+        lambda: space_norms(space, [Distribution(tuple(atoms)) for atoms in ds]),
+        lambda: block_norms(space, Seq(coeffs), ks),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            try:
+                got = np.asarray(call())
+            except (NumericalError, ValueError):
+                continue
+            assert np.all(np.isfinite(got) & (got > 0.0))
 
 
 # --- Luxemburg norm -----------------------------------------------------------

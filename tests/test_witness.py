@@ -27,7 +27,7 @@ from rispect import (
 )
 from rispect import cli, spaces
 from rispect.spaces import _grouped_norms
-from rispect.steps import MERGE_REL_TOL, _CHUNK_ELEMS, _disjoint_sum_chunks
+from rispect.steps import MERGE_REL_TOL, _NORM_ELEMS, _disjoint_sum_chunks
 from rispect.witness import _lp_rows
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
 from test_steps import disjoint_sum, reference_disjoint_sum
@@ -238,7 +238,7 @@ def row_norms(space, coeffs, base: Distribution) -> list[float]:
     return [
         n
         for rows in _disjoint_sum_chunks(arr, base)
-        for n in _grouped_norms(space, [(v, m, None) for v, m in rows]).tolist()
+        for n in _grouped_norms(space, [(v, m, np.ones(1)) for v, m in rows]).tolist()
     ]
 
 
@@ -299,7 +299,7 @@ def test_row_path_spans_chunks(quarter):
     probes = standard_probes(17, fam.theta, seed=3, n_random=60)
     width = 17 * len(fam.base.atoms)
     chunks = list(_disjoint_sum_chunks(np.array(probes), fam.base))
-    assert len(chunks) == -(-len(probes) // max(1, _CHUNK_ELEMS // width)) > 1
+    assert len(chunks) == -(-len(probes) // max(1, _NORM_ELEMS // width)) > 1
     assert row_norms(quarter, probes, fam.base) == [
         space_norm(quarter, disjoint_sum(a, fam.base)) for a in probes
     ]
