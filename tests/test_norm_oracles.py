@@ -146,22 +146,29 @@ def test_luxemburg_norm_far_from_the_largest_value_matches_mpmath(N, scale):
         assert rel_err(space_norm(space, d), luxemburg_reference(d.atoms, N)) <= bound
 
 
+PAST_THE_SLOPE = {
+    "overflow-at-u0": ((3.0, 1e308), (2.0, 1e308), (1.0, 1e308)),
+    "overflow-at-slope-point": ((1.0, 3.0 * 2.0**-347),),
+    "root-below-normal-floats": ((1e-300, 2.0**-60), (5e-301, 2.0**-60)),
+}
+
+
 @pytest.mark.parametrize(
-    "atoms",
-    [
-        ((3.0, 1e308), (2.0, 1e308), (1.0, 1e308)),
-        ((1.0, 3.0 * 2.0**-347),),
-        ((1e-300, 2.0**-60), (5e-301, 2.0**-60)),
-    ],
-    ids=["overflow-at-u0", "overflow-at-slope-point", "root-below-normal-floats"],
+    "N,atoms",
+    [(N, atoms) for N in NS[1:] for atoms in PAST_THE_SLOPE.values()]
+    + [({"kind": "piecewise_power", "a0": 1.2, "a_inf": 3.0}, PAST_THE_SLOPE["overflow-at-u0"])],
+    ids=[f"{N['kind']}-{name}" for N in NS[1:] for name in PAST_THE_SLOPE]
+    + ["piecewise_power-1.2-doubling-past-the-floats"],
 )
-@pytest.mark.parametrize("N", NS[1:], ids=[N["kind"] for N in NS[1:]])
 def test_luxemburg_norm_past_the_slope_bracket_matches_mpmath(N, atoms):
     """Roots the slope point cannot bracket, found by the doubling search in
     log u: a modular that overflows at the largest value (measures 1e308) or
     at the slope point (for piecewise_power, where N(t) = t**3 overflows
-    above t = 5.6e102), and a root near 1e-306 (4.7e-309 for power_log).  Largest
-    errors seen: 2.3e-16, and 1.8e-15 for table N, which is itself good only
-    to about 2e-15 this far from its knots."""
+    above t = 5.6e102), and a root near 1e-306 (4.7e-309 for power_log).
+    With N = t**1.2 below 1 the root of the first lies e**592 above the
+    largest value, between the doubling search's x = 512 and x = 1024, which
+    leaves the floats: the search stops at their edge.  Largest errors seen:
+    4.1e-16, and 1.8e-15 for table N, which is itself good only to about
+    2e-15 this far from its knots."""
     space = Orlicz(fn_from_json(N))
     assert rel_err(space_norm(space, Distribution(atoms)), luxemburg_reference(atoms, N)) <= 4e-15
