@@ -50,6 +50,10 @@ _MAX_BISECT = 200
 # steps on the benchmark spaces.
 _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
+# u0 * e**x is a positive finite float for log(least) - min(log u0, 0) < x
+# < log(largest) - max(log u0, 0): the bounds of the Luxemburg root search.
+_LOG_MAX = math.log(np.finfo(float).max)
+_LOG_LEAST = math.log(np.finfo(float).smallest_subnormal)
 # Largest step count j of the Orlicz inverse's bracket [1, 2**j] or
 # [2**-j, 1], read off one evaluation of N at 2**+-j for every j up to this
 # cap: 2**+-1100 covers the float range and block measures up to 2**+-1000.
@@ -439,32 +443,40 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         return np.log((w * terms).sum(axis=1))
 
     f0 = f(u0, np.arange(u0.size))
-    a, b, fa, fb = np.zeros(u0.size), np.zeros(u0.size), f0.copy(), f0.copy()
-    rows = np.flatnonzero(~(np.abs(f0) <= _ROOT_TOL))  # the rest are solved at u0
-    # y = s * x runs toward the root, up to an edge of the floats less 2**-30
-    # for the rounding of log and exp.
-    s, m = np.where(f0[rows] > 0.0, 1.0, -1.0), u0[rows]
-    top, least = np.finfo(float).max, np.finfo(float).smallest_subnormal
-    edge = np.where(s > 0.0, np.log(top / np.maximum(m, 1.0)), -np.log(least / np.minimum(m, 1.0)))
+    up = f0 > 0.0
+    s = np.where(up, 1.0, -1.0)
+    # y = s * x runs toward the root: the search's last two points y0, y1
+    # and f there, each 0 and f0 where the row is solved at u0.
+    y0, y1, f_0, f_1 = np.zeros(u0.size), np.zeros(u0.size), f0.copy(), f0.copy()
+    rows = np.flatnonzero(~(np.abs(f0) <= _ROOT_TOL))
+    # The last y before u0 * e**x leaves the floats, less 2**-30 for rounding.
+    lu = np.log(u0[rows])
+    edge = np.where(up[rows], _LOG_MAX - np.maximum(lu, 0.0), np.minimum(lu, 0.0) - _LOG_LEAST)
     edge -= 2.0**-30
-    f_last, y_last = f0[rows], np.zeros(rows.size)
-    y = np.minimum(np.where(np.isfinite(f_last), s * f_last * (1.0 + 2.0**-30), 1.0), edge)
+    f_r = f0[rows]
+    y = np.minimum(np.where(np.isfinite(f_r), s[rows] * f_r * (1.0 + 2.0**-30), 1.0), edge)
     # Each step doubles |x| >= 2**-50 or reaches an edge, so the search ends.
     while rows.size:
-        fy = f(u0[rows] * np.exp(s * y), rows)
-        hit = s * fy <= 0.0
-        end = np.isinf(y) & ~(hit & (s > 0.0))  # u = 0, or no sign change at u = 0 or inf
-        if end.any():
-            i = end.argmax()
-            side = "above" if s[i] > 0.0 else "below"
-            raise NumericalError(
-                f"luxemburg bracketing {'underflows to u = 0' if hit[i] else 'failed ' + side}"
-            )
-        k, up = rows[hit], s[hit] > 0.0
-        last, new = [(s * y_last)[hit], f_last[hit]], [(s * y)[hit], fy[hit]]
-        a[k], fa[k], b[k], fb[k] = np.where(up, last + new, new + last)
-        rows, s, edge, f_last, y_last = (v[~hit] for v in (rows, s, edge, fy, y))
-        y = np.where(y_last >= edge, np.inf, np.minimum(2.0 * y_last, edge))
+        s_r = s[rows]
+        fy = f(u0[rows] * np.exp(s_r * y), rows)
+        hit = s_r * fy <= 0.0
+        if np.isinf(y).any():  # u = 0, or no sign change at u = 0 or inf
+            end = np.isinf(y) & ~(hit & (s_r > 0.0))
+            if end.any():
+                i = end.argmax()
+                side = "above" if s_r[i] > 0.0 else "below"
+                raise NumericalError(
+                    f"luxemburg bracketing {'underflows to u = 0' if hit[i] else 'failed ' + side}"
+                )
+        y1[rows], f_1[rows] = y, fy
+        if hit.all():
+            break
+        go = ~hit
+        rows, edge, y = rows[go], edge[go], y[go]
+        y0[rows], f_0[rows] = y, fy[go]
+        y = np.where(y >= edge, np.inf, np.minimum(2.0 * y, edge))
+    a, b = np.where(up, y0, -y1), np.where(up, y1, -y0)
+    fa, fb = np.where(up, f_0, f_1), np.where(up, f_1, f_0)
     return _secant_rows(f, u0, a, b, fa, fb)
 
 

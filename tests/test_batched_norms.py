@@ -42,6 +42,8 @@ from rispect import (
 from rispect import spaces
 from rispect.shifts import geometric_window, shift, shift_minus, squared_window
 from rispect.spaces import (
+    _LOG_LEAST,
+    _LOG_MAX,
     _MAX_BISECT,
     _MAX_BRACKET,
     _MAX_ROOT,
@@ -105,10 +107,8 @@ def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
     if not abs(f0) <= _ROOT_TOL:
         # y = s * x runs toward the root.
         s = 1.0 if f0 > 0.0 else -1.0
-        if s > 0.0:
-            edge = np.log(np.float64(np.finfo(float).max / max(u0, 1.0))) - 2.0**-30
-        else:
-            edge = -np.log(np.float64(5e-324 / min(u0, 1.0))) - 2.0**-30
+        lu = np.log(np.float64(u0))
+        edge = (_LOG_MAX - max(lu, 0.0) if s > 0.0 else min(lu, 0.0) - _LOG_LEAST) - 2.0**-30
         y_last, f_last = np.float64(0.0), f0
         y = min(s * f0 * (1.0 + 2.0**-30) if math.isfinite(f0) else np.float64(1.0), edge)
         while not s * (fy := f(u0 * float(np.exp(s * y)))) <= 0.0:
@@ -758,7 +758,7 @@ PAST_THE_SLOPE_CALLS = {
     ("power_log", "three-values"): 16,
     ("power_log", "tiny-values"): 7,
     ("table", "one-value"): 16,
-    ("table", "three-values"): 19,
+    ("table", "three-values"): 17,
     ("table", "tiny-values"): 5,
 }
 

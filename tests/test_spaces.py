@@ -279,6 +279,7 @@ def test_lorentz_norm_zero():
         # absorbed into the cumulative sum: inf * 0, with no warning.
         (Lorentz(1e6, PurePower(1.0)), Distribution(((2.0, 1.0), (1.5, 2.0**-60)))),
     ],
+    ids=["lorentz-l1", "orlicz-square", "orlicz-power_log", "lorentz-q1e6-absorbed-measure"],
 )
 def test_norm_above_the_largest_float_is_numerical_failure(space, d):
     """A norm that overflows raises, as one that underflows to 0 does."""
