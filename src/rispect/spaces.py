@@ -50,10 +50,11 @@ _MAX_BISECT = 200
 # steps on the benchmark spaces.
 _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
-# u0 * e**x is a positive finite float for log(least) - min(log u0, 0) < x
-# < log(largest) - max(log u0, 0): the bounds of the Luxemburg root search.
-_LOG_MAX = math.log(np.finfo(float).max)
-_LOG_LEAST = math.log(np.finfo(float).smallest_subnormal)
+# u0 * e**x is a positive finite float for _LOG_LEAST - min(log u0, 0) <= x
+# <= _LOG_MAX - max(log u0, 0): the logs of the least and the largest float,
+# each 2**-30 inside for the rounding of log and exp.
+_LOG_MAX = math.log(np.finfo(float).max) - 2.0**-30
+_LOG_LEAST = math.log(np.finfo(float).smallest_subnormal) + 2.0**-30
 # Largest step count j of the Orlicz inverse's bracket [1, 2**j] or
 # [2**-j, 1], read off one evaluation of N at 2**+-j for every j up to this
 # cap: 2**+-1100 covers the float range and block measures up to 2**+-1000.
@@ -420,16 +421,12 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     f(x) = log modular(u0 * e**x) = 0 with _secant_rows, u0 = max_j
     values_ij.  N convex with N(0) = 0 has N(l t) >= l N(t) for l >= 1, so
     f falls by at least d over every step d: the root lies between 0 and
-    f(0), and within |f(x)| of any x.  The bracket search steps x from 0
-    toward the root (up where f(0) > 0, else down, so a NaN goes down): first
-    to f(0) * (1 + 2**-30), or to +-1 where f(0) is not finite, then doubling
-    x until f changes sign (a NaN keeps a row going), and passes the last two
-    points to _secant_rows.  A step that would leave the x where u0 * e**x is
-    a positive finite float stops at that range's edge; the next goes to
-    u = inf (a root above the floats, read as inf) or to u = 0.  A row that
-    brackets its root at u = 0, or finds no sign change at either end, is a
-    NumericalError.
-    """
+    f(0), and within |f(x)| of any x.  So the bracket search goes from 0 to
+    f(0) * (1 + 2**-30) (to +-1 where f(0) is not finite; a NaN goes down),
+    then doubles x until f changes sign (a NaN keeps a row going), stopping
+    at the edge of the floats and then going to u = inf (a root above the
+    floats reads inf) or u = 0.  A row that brackets its root at u = 0, or
+    sees no sign change at either end, is a NumericalError."""
     e = N.exponents()
     if e is not None and e[0] == e[1]:
         return _pow_each((weights * values ** e[0]).sum(axis=1), 1.0 / e[0])
@@ -449,32 +446,24 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     # and f there, each 0 and f0 where the row is solved at u0.
     y0, y1, f_0, f_1 = np.zeros(u0.size), np.zeros(u0.size), f0.copy(), f0.copy()
     rows = np.flatnonzero(~(np.abs(f0) <= _ROOT_TOL))
-    # The last y before u0 * e**x leaves the floats, less 2**-30 for rounding.
     lu = np.log(u0[rows])
     edge = np.where(up[rows], _LOG_MAX - np.maximum(lu, 0.0), np.minimum(lu, 0.0) - _LOG_LEAST)
-    edge -= 2.0**-30
-    f_r = f0[rows]
-    y = np.minimum(np.where(np.isfinite(f_r), s[rows] * f_r * (1.0 + 2.0**-30), 1.0), edge)
+    y = np.minimum(np.where(np.isfinite(f0), s * f0 * (1.0 + 2.0**-30), 1.0)[rows], edge)
     # Each step doubles |x| >= 2**-50 or reaches an edge, so the search ends.
     while rows.size:
         s_r = s[rows]
         fy = f(u0[rows] * np.exp(s_r * y), rows)
-        hit = s_r * fy <= 0.0
-        if np.isinf(y).any():  # u = 0, or no sign change at u = 0 or inf
-            end = np.isinf(y) & ~(hit & (s_r > 0.0))
-            if end.any():
-                i = end.argmax()
-                side = "above" if s_r[i] > 0.0 else "below"
-                raise NumericalError(
-                    f"luxemburg bracketing {'underflows to u = 0' if hit[i] else 'failed ' + side}"
-                )
         y1[rows], f_1[rows] = y, fy
-        if hit.all():
-            break
-        go = ~hit
+        go = ~(s_r * fy <= 0.0) & (y < np.inf)
         rows, edge, y = rows[go], edge[go], y[go]
         y0[rows], f_0[rows] = y, fy[go]
         y = np.where(y >= edge, np.inf, np.minimum(2.0 * y, edge))
+    hit = s * f_1 <= 0.0
+    end = np.isinf(y1) & ~(hit & up)  # u = 0, or no sign change at u = 0 or inf
+    if end.any():
+        i = end.argmax()
+        why = "underflows to u = 0" if hit[i] else f"failed {'above' if up[i] else 'below'}"
+        raise NumericalError(f"luxemburg bracketing {why}")
     a, b = np.where(up, y0, -y1), np.where(up, y1, -y0)
     fa, fb = np.where(up, f_0, f_1), np.where(up, f_1, f_0)
     return _secant_rows(f, u0, a, b, fa, fb)

@@ -77,8 +77,7 @@ class Distribution:
         with np.errstate(over="ignore"):
             values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
         if not measures.max(initial=0.0) < math.inf:
-            value = values.tolist()[int(measures.argmax())]
-            raise ValueError(f"the measures of level value {value} sum past the float range")
+            raise ValueError(f"the measures of value {values[measures.argmax()]} sum past the floats")
         # tuple() of a list allocates the exact size; from an iterator it grows
         # the tuple by resizing, which fills CPython's tuple free lists.
         object.__setattr__(self, "atoms", tuple([*zip(values.tolist(), measures.tolist())]))
@@ -254,10 +253,9 @@ def dyadic_average(x: PositionedStep) -> Seq:
     return Seq({k: math.ldexp(s, -k) for k, s in sums.items()})
 
 
-# Elements per row-kernel evaluation (rows x atoms), and of the disjoint sums
-# built at once (rows x copies x base atoms), so that a chunk's rows of one
-# atom count are normed in one evaluation: of 2**12 to 2**15, 2**13 traded
-# time against memory best on the probe benchmarks.
+# Elements per row-kernel evaluation (rows x atoms) and per chunk of disjoint
+# sums (rows x copies x base atoms), so a chunk's rows of one atom count are
+# normed at once: of 2**12 to 2**15, 2**13 traded time against memory best.
 _NORM_ELEMS = 2**13
 
 

@@ -108,7 +108,7 @@ def reference_root(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> float:
         # y = s * x runs toward the root.
         s = 1.0 if f0 > 0.0 else -1.0
         lu = np.log(np.float64(u0))
-        edge = (_LOG_MAX - max(lu, 0.0) if s > 0.0 else min(lu, 0.0) - _LOG_LEAST) - 2.0**-30
+        edge = _LOG_MAX - max(lu, 0.0) if s > 0.0 else min(lu, 0.0) - _LOG_LEAST
         y_last, f_last = np.float64(0.0), f0
         y = min(s * f0 * (1.0 + 2.0**-30) if math.isfinite(f0) else np.float64(1.0), edge)
         while not s * (fy := f(u0 * float(np.exp(s * y)))) <= 0.0:
