@@ -455,15 +455,16 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
         fy = f(u0[rows] * np.exp(s_r * y), rows)
         y1[rows], f_1[rows] = y, fy
         go = ~(s_r * fy <= 0.0) & (y < np.inf)
+        if not go.any():
+            break
         rows, edge, y = rows[go], edge[go], y[go]
         y0[rows], f_0[rows] = y, fy[go]
         y = np.where(y >= edge, np.inf, np.minimum(2.0 * y, edge))
-    hit = s * f_1 <= 0.0
-    end = np.isinf(y1) & ~(hit & up)  # u = 0, or no sign change at u = 0 or inf
-    if end.any():
-        i = end.argmax()
-        why = "underflows to u = 0" if hit[i] else f"failed {'above' if up[i] else 'below'}"
-        raise NumericalError(f"luxemburg bracketing {why}")
+    for i in np.flatnonzero(np.isinf(y1)).tolist():  # at u = inf or 0: a bracket only at inf
+        if not (up[i] and f_1[i] <= 0.0):
+            side = "above" if up[i] else "below"
+            why = "underflows to u = 0" if not up[i] and f_1[i] >= 0.0 else f"failed {side}"
+            raise NumericalError(f"luxemburg bracketing {why}")
     a, b = np.where(up, y0, -y1), np.where(up, y1, -y0)
     fa, fb = np.where(up, f_0, f_1), np.where(up, f_1, f_0)
     return _secant_rows(f, u0, a, b, fa, fb)
@@ -497,6 +498,7 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     return norms.tolist()
 
 
+@np.errstate(over="ignore")  # cumulative measures that overflow give a non-finite norm
 def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
     """The norms of every request's rows, request after request.  Request
     (values, measures, scales) is a distribution's canonical atoms, normed
@@ -519,8 +521,7 @@ def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
         values = np.array([requests[r][0] for r in idx])
         measures = np.array([requests[r][1] for r in idx])
         if lorentz:
-            with np.errstate(over="ignore"):  # an inf sum gives a non-finite norm
-                measures = np.cumsum(measures, axis=1)
+            measures = np.cumsum(measures, axis=1)
         scales = np.concatenate([requests[r][2] for r in idx])
         dest = np.concatenate([np.arange(firsts[r], firsts[r + 1]) for r in idx])
         owner = np.repeat(np.arange(len(idx)), [firsts[r + 1] - firsts[r] for r in idx])

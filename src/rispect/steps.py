@@ -60,6 +60,7 @@ class Distribution:
     values: np.ndarray = field(init=False, repr=False, compare=False)
     measures: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @np.errstate(over="ignore")  # merged measures that overflow are refused below
     def __post_init__(self) -> None:
         atoms = self.atoms
         if not isinstance(atoms, np.ndarray):
@@ -74,10 +75,9 @@ class Distribution:
             if measure < 0:
                 raise ValueError(f"negative measure {measure}")
             raise ValueError(f"non-finite atom ({value}, {measure})")
-        with np.errstate(over="ignore"):
-            values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
+        values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
         if not measures.max(initial=0.0) < math.inf:
-            raise ValueError(f"the measures of value {values[measures.argmax()]} sum past the floats")
+            raise ValueError(f"merged measure at level value {values[measures.argmax()]} overflows")
         # tuple() of a list allocates the exact size; from an iterator it grows
         # the tuple by resizing, which fills CPython's tuple free lists.
         object.__setattr__(self, "atoms", tuple([*zip(values.tolist(), measures.tolist())]))
