@@ -498,7 +498,6 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     return norms.tolist()
 
 
-@np.errstate(over="ignore")  # cumulative measures that overflow give a non-finite norm
 def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
     """The norms of every request's rows, request after request.  Request
     (values, measures, scales) is a distribution's canonical atoms, normed
@@ -521,7 +520,8 @@ def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
         values = np.array([requests[r][0] for r in idx])
         measures = np.array([requests[r][1] for r in idx])
         if lorentz:
-            measures = np.cumsum(measures, axis=1)
+            with np.errstate(over="ignore"):  # an inf sum gives a non-finite norm
+                measures = np.cumsum(measures, axis=1)
         scales = np.concatenate([requests[r][2] for r in idx])
         dest = np.concatenate([np.arange(firsts[r], firsts[r + 1]) for r in idx])
         owner = np.repeat(np.arange(len(idx)), [firsts[r + 1] - firsts[r] for r in idx])
