@@ -50,15 +50,16 @@ _MAX_BISECT = 200
 # steps on the benchmark spaces.
 _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
-# u0 * e**x is a positive finite float for _LOG_LEAST - min(log u0, 0) <= x
-# <= _LOG_MAX - max(log u0, 0): the logs of the least and the largest float,
-# each 2**-30 inside for the rounding of log and exp.
+# u0 * e**x is a float > 0 for _LOG_LEAST - min(log u0, 0) <= x <= _LOG_MAX -
+# max(log u0, 0): logs of the least and largest floats, 2**-30 inside them.
 _LOG_MAX = math.log(np.finfo(float).max) - 2.0**-30
 _LOG_LEAST = math.log(np.finfo(float).smallest_subnormal) + 2.0**-30
 # Largest step count j of the Orlicz inverse's bracket [1, 2**j] or
 # [2**-j, 1], read off one evaluation of N at 2**+-j for every j up to this
 # cap: 2**+-1100 covers the float range and block measures up to 2**+-1000.
 _MAX_BRACKET = 1100
+# The scales of a _grouped_norms request normed as it is; read-only, shared.
+_UNSCALED = np.broadcast_to(1.0, 1)
 
 
 class NumericalError(ArithmeticError):
@@ -442,8 +443,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     f0 = f(u0, np.arange(u0.size))
     up = f0 > 0.0
     s = np.where(up, 1.0, -1.0)
-    # y = s * x runs toward the root: the search's last two points y0, y1
-    # and f there, each 0 and f0 where the row is solved at u0.
+    # y = s * x runs toward the root; y0, y1 are the last two points, f_0, f_1 f there.
     y0, y1, f_0, f_1 = np.zeros(u0.size), np.zeros(u0.size), f0.copy(), f0.copy()
     rows = np.flatnonzero(~(np.abs(f0) <= _ROOT_TOL))
     lu = np.log(u0[rows])
@@ -492,7 +492,7 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     """Element i is the norm of the i-th distribution of ds, 0.0 when it is
     zero; a norm that overflows is a NumericalError.  ds may be any iterable,
     such as a generator: only each distribution's atom arrays are kept."""
-    norms = _grouped_norms(space, [(d.values, d.measures, np.ones(1)) for d in ds])
+    norms = _grouped_norms(space, [(d.values, d.measures, _UNSCALED) for d in ds])
     if not np.isfinite(norms).all():
         raise NumericalError("the norm of a distribution overflows")
     return norms.tolist()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .indices import IndexSet, WeightSeq
 from .shifts import shift_minus
-from .spaces import NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
+from .spaces import _UNSCALED, NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
 from .steps import Seq, _canonical_rows
 
 __all__ = [
@@ -314,7 +314,7 @@ def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> list:
         raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
     measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))
     rows = _canonical_rows(np.abs(coeffs), measures) + _canonical_rows(np.abs(images), measures)
-    return [(values, measures, np.ones(1)) for values, measures in rows]
+    return [(values, measures, _UNSCALED) for values, measures in rows]
 
 
 def probe_lower_bound(

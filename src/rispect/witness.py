@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .shifts import geometric_window
-from .spaces import NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
+from .spaces import _UNSCALED, NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
 from .steps import Distribution, _disjoint_sum_chunks
 
 __all__ = [
@@ -126,7 +126,7 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     coeffs = coeffs[(coeffs != 0.0).any(axis=1)]
     worst, start = 1.0, 0
     for rows in _disjoint_sum_chunks(coeffs, fam.base):
-        nums = _grouped_norms(fam.space, [(v, m, np.ones(1)) for v, m in rows])
+        nums = _grouped_norms(fam.space, [(v, m, _UNSCALED) for v, m in rows])
         if not nums.all():
             raise NumericalError("the disjoint sum of a nonzero probe underflows to 0")
         stop = start + len(rows)
