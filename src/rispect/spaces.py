@@ -501,8 +501,8 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
 def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
     """The norms of every request's rows, request after request.  Request
     (values, measures, scales) is a distribution's canonical atoms, normed
-    with its measures times each scale (scales [1.0] norms it as it is); no
-    atoms read 0.0.  The rows of all requests of one atom count are normed in
+    with its measures times each scale (scales _UNSCALED norms it as it is);
+    no atoms read 0.0.  The rows of all requests of one atom count are normed in
     order, _NORM_ELEMS elements per evaluation; only the rows of the
     evaluation at hand are built, C-contiguous.
 
