@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .indices import IndexSet, analytic_indices, block_weights, estimate_indices
-from .shifts import SeriesDivergenceError
 from .spaces import (
     NumericalError,
     SpaceSpec,
@@ -510,7 +509,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, SpecJSONError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, SeriesDivergenceError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

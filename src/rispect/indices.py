@@ -80,26 +80,6 @@ def block_weights(space: SpaceSpec, k_min: int, k_max: int) -> WeightSeq:
     return WeightSeq(k_min, k_max, fundamentals(space, np.ldexp(1.0, np.arange(k_min, k_max + 1))))
 
 
-def _region_bounds(w: WeightSeq, n: int, region: Region) -> tuple[int, int]:
-    """First and last k whose ratio s_{k+n}/s_k enters the sup over region:
-    k and k+n inside the window, and inside the half-axis for the restricted
-    regions, k+n <= 0 for "zero" and k >= 0 for "infinity"."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > w.width // 2:
-        raise ValueError(f"n={n} too large for window width {w.width}")
-    lo, hi = w.k_min, w.k_max - n
-    if region == "zero":
-        hi = min(hi, -n)
-    elif region == "infinity":
-        lo = max(lo, 0)
-    elif region != "all":
-        raise ValueError(f"unknown region {region!r}")
-    if lo > hi:
-        raise ValueError(f"window too small for n={n} in region {region!r}")
-    return lo, hi
-
-
 # name -> (region, direction, sign), in IndexSet field order; the index
 # estimate at window n is sign * log2(sup)/n, the sup over the region of
 # s_{k+n}/s_k (up) or s_k/s_{k+n} (down).
@@ -166,18 +146,23 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
     if n_max > w.width // 4:
         raise ValueError(f"n_max={n_max} needs window width >= {4 * n_max}, got {w.width}")
     inner = w.window(w.k_min + n_max, w.k_max - n_max)
-    # One pass per n: both ratio arrays once, then each sup over its region's
-    # slice.  Bounds come region by region, then n, so an empty region raises
-    # the error of the first (region, n) in that order.
-    regions = dict.fromkeys(region for region, _, _ in _EXPONENTS.values())
-    bounds = {r: [_region_bounds(inner, n, r) for n in range(1, n_max + 1)] for r in regions}
+    # Element i of a ratio array is k = inner.k_min + i.  The regions k + n <= 0
+    # and k >= 0 shrink as n grows: each is empty past its last_n.
+    for region, last_n in (("zero", -inner.k_min), ("infinity", inner.k_max - max(inner.k_min, 0))):
+        if last_n < n_max:
+            raise ValueError(f"window too small for n={max(last_n, 0) + 1} in region {region!r}")
+    # One pass per n: both ratio arrays once, then each sup over its region's slice.
     per_n: dict[str, list[float]] = {name: [] for name in _EXPONENTS}
     s = inner.s
     for n in range(1, n_max + 1):
         ratios = {"up": s[n:] / s[:-n], "down": s[:-n] / s[n:]}
+        slices = {
+            "all": slice(None),
+            "zero": slice(1 - n - inner.k_min),
+            "infinity": slice(max(0, -inner.k_min), None),
+        }
         for name, (region, direction, sign) in _EXPONENTS.items():
-            lo, hi = bounds[region][n - 1]
-            sup = ratios[direction][lo - inner.k_min : hi - inner.k_min + 1].max()
+            sup = ratios[direction][slices[region]].max()
             per_n[name].append(sign * math.log2(sup) / n)
 
     estimates = {name: _clamp01(series[-1]) for name, series in per_n.items()}

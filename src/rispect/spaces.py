@@ -50,8 +50,9 @@ _MAX_BISECT = 200
 # steps on the benchmark spaces.
 _ROOT_TOL = 2.0**-50
 _MAX_ROOT = 100
-# u0 * e**x is a float > 0 for _LOG_LEAST - min(log u0, 0) <= x <= _LOG_MAX -
-# max(log u0, 0): logs of the least and largest floats, 2**-30 inside them.
+# u0 * e**x is a float > 0 and u0 / (u0 * e**x) a float for x <= _LOG_MAX -
+# max(log u0, 0) and x >= max(_LOG_LEAST - log u0, -_LOG_MAX): logs of the
+# least and largest floats, 2**-30 inside them.
 _LOG_MAX = math.log(np.finfo(float).max) - 2.0**-30
 _LOG_LEAST = math.log(np.finfo(float).smallest_subnormal) + 2.0**-30
 # Largest step count j of the Orlicz inverse's bracket [1, 2**j] or
@@ -425,9 +426,9 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     f(0), and within |f(x)| of any x.  So the bracket search goes from 0 to
     f(0) * (1 + 2**-30) (to +-1 where f(0) is not finite; a NaN goes down),
     then doubles x until f changes sign (a NaN keeps a row going), stopping
-    at the edge of the floats and then going to u = inf (a root above the
-    floats reads inf) or u = 0.  A row that brackets its root at u = 0, or
-    sees no sign change at either end, is a NumericalError."""
+    where u or u0 / u would leave the floats and then going to u = inf (a
+    root above the floats reads inf) or u = 0.  A row that brackets its root
+    at u = 0, or sees no sign change at either end, is a NumericalError."""
     e = N.exponents()
     if e is not None and e[0] == e[1]:
         return _pow_each((weights * values ** e[0]).sum(axis=1), 1.0 / e[0])
@@ -447,7 +448,7 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     y0, y1, f_0, f_1 = np.zeros(u0.size), np.zeros(u0.size), f0.copy(), f0.copy()
     rows = np.flatnonzero(~(np.abs(f0) <= _ROOT_TOL))
     lu = np.log(u0[rows])
-    edge = np.where(up[rows], _LOG_MAX - np.maximum(lu, 0.0), np.minimum(lu, 0.0) - _LOG_LEAST)
+    edge = np.where(up[rows], _LOG_MAX - np.maximum(lu, 0.0), np.minimum(lu - _LOG_LEAST, _LOG_MAX))
     y = np.minimum(np.where(np.isfinite(f0), s * f0 * (1.0 + 2.0**-30), 1.0)[rows], edge)
     # Each step doubles |x| >= 2**-50 or reaches an edge, so the search ends.
     while rows.size:

@@ -245,6 +245,24 @@ def test_unconverged_luxemburg_root_exits_3(capsys, tmp_path, monkeypatch):
     assert "did not converge" in err
 
 
+def test_luxemburg_root_below_the_floats_of_u0_over_u_exits_3(capsys, tmp_path):
+    """N(t) = 1e-100 t puts the block norms of windows below k = -700 under
+    u0 / DBL_MAX.  The scan exits 3 with nothing on stdout instead of
+    scoring those windows with the edge of the bracket search as their norm."""
+    cfgpath = write_config(
+        tmp_path,
+        space={"type": "orlicz", "N": {"kind": "table", "points": [[1, 1e-100], [2, 2e-100]]}},
+        k_radius=1000,
+        n_max=16,
+        n_list=[4],
+        probe_k_radius=990,
+        lambda_grid=[1.5],
+    )
+    code, out, err = run(capsys, "residuals", "--config", cfgpath)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: luxemburg bracketing underflows to u = 0\n"
+
+
 def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch):
     def boom(cfg):
         raise NumericalError("synthetic")

@@ -25,7 +25,7 @@ from rispect import (
     estimate_indices,
     shift,
 )
-from rispect.indices import _EXPONENTS, _region_bounds
+from rispect.indices import _EXPONENTS
 
 ANALYTIC = {
     # six shipped fixtures: (space fixture name, expected six-tuple)
@@ -45,8 +45,19 @@ def as_tuple(ix: IndexSet) -> tuple[float, ...]:
 def ratio_sup(w: WeightSeq, n: int, region: str, direction: str) -> float:
     """sup over the region's admissible k of s_{k+n}/s_k (up) or s_k/s_{k+n}
     (down), one sup per call: the reference for estimate_indices, which takes
-    all six sups of a window n in one pass."""
-    lo, hi = _region_bounds(w, n, region)
+    all six sups of a window n in one pass.  The admissible k have k and k + n
+    in the window, and k + n <= 0 ("zero") or k >= 0 ("infinity")."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > w.width // 2:
+        raise ValueError(f"n={n} too large for window width {w.width}")
+    admits = {"all": lambda k: True, "zero": lambda k: k + n <= 0, "infinity": lambda k: k >= 0}
+    if region not in admits:
+        raise ValueError(f"unknown region {region!r}")
+    ks = [k for k in range(w.k_min, w.k_max - n + 1) if admits[region](k)]
+    if not ks:
+        raise ValueError(f"window too small for n={n} in region {region!r}")
+    lo, hi = ks[0], ks[-1]
     base = w.s[lo - w.k_min : hi - w.k_min + 1]
     shifted = w.s[lo + n - w.k_min : hi + n - w.k_min + 1]
     if direction == "up":
@@ -264,6 +275,51 @@ def test_estimate_indices_equal_ratio_sup_loop(data):
     assert est.as_dict() == {name: min(1.0, max(0.0, series[-1])) for name, series in want.items()}
     half = max(1, n_max // 2)
     assert est.meta["est_error"] == max(abs(v[-1] - v[half - 1]) for v in want.values())
+
+
+def reference_estimate(w: WeightSeq, n_max: int) -> dict:
+    """per_n, est_error and regression_slope of estimate_indices from the
+    ratio_sup loop, raising the errors estimate_indices raises."""
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    if n_max > w.width // 4:
+        raise ValueError(f"n_max={n_max} needs window width >= {4 * n_max}, got {w.width}")
+    per_n = reference_per_n(w, n_max)
+    half = max(1, n_max // 2)
+    ns = np.arange(half, n_max + 1, dtype=float)
+    return {
+        "est_error": max(abs(v[-1] - v[half - 1]) for v in per_n.values()),
+        "regression_slope": {
+            name: None if n_max == 1 else float(np.polyfit(ns, np.array(v[half - 1 :]) * ns, 1)[0])
+            for name, v in per_n.items()
+        },
+        "per_n": per_n,
+    }
+
+
+def test_estimate_indices_equal_reference_on_every_window_shape():
+    """4,032 shapes: k_min from -30 to 30 in steps of 3, widths 4 to 59 in
+    steps of 5, n_max 1 to 16.  Most raise (n_max too large for the width, or
+    a restricted region empty), each with the reference's first error."""
+    rng = np.random.default_rng(21)
+    s = np.cumprod(np.r_[1.0, rng.uniform(1.0, 2.0, 59)])
+    shapes = solved = 0
+    for k_min in range(-30, 31, 3):
+        for width in range(4, 60, 5):
+            w = WeightSeq(k_min, k_min + width, s[: width + 1])
+            for n_max in range(1, 17):
+                shapes += 1
+                try:
+                    want = reference_estimate(w, n_max)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        estimate_indices(w, n_max)
+                    assert str(got.value) == str(exc)
+                    continue
+                meta = estimate_indices(w, n_max).meta
+                assert {key: meta[key] for key in want} == want
+                solved += 1
+    assert (shapes, solved) == (4032, 4032 - 3561)
 
 
 def test_estimate_indices_empty_region_messages():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from rispect import Distribution, Lorentz, Orlicz, fn_from_json, space_norm
+from rispect import Distribution, Lorentz, NumericalError, Orlicz, fn_from_json, space_norm
 
 # Largest relative errors seen at these seeds: 5.8e-16 (Lorentz) and 3.7e-16
 # (Luxemburg; closed-form pure_power 1.9e-16); 7.5e-16 for Luxemburg roots
@@ -172,3 +172,32 @@ def test_luxemburg_norm_past_the_slope_bracket_matches_mpmath(N, atoms):
     2e-15 this far from its knots."""
     space = Orlicz(fn_from_json(N))
     assert rel_err(space_norm(space, Distribution(atoms)), luxemburg_reference(atoms, N)) <= 4e-15
+
+
+# N(t) = 1e-100 t, as a table: the root of measure m at value 1 is 1e-100 m.
+LINEAR_TABLE = {"kind": "table", "points": [[1.0, 1e-100], [2.0, 2e-100]]}
+
+
+@pytest.mark.parametrize(
+    "scale,bits", [(-600, 2.409919865107011e-281), (-650, 2.1404388173949717e-296)]
+)
+def test_luxemburg_root_far_below_the_largest_value_matches_mpmath(scale, bits):
+    """Roots e**646 and e**681 below the largest value, above the least u
+    with u0 / u a float (5.6e-309).  The table's slope, rounded from the logs
+    of its points, is 1 + 2.7e-15, so N at t = 1 / u is off by about 1.8e-12
+    relative: the reference takes N from the points exactly."""
+    atoms = ((1.0, 2.0**scale),)
+    got = space_norm(Orlicz(fn_from_json(LINEAR_TABLE)), Distribution(atoms))
+    assert got == bits
+    assert rel_err(got, luxemburg_reference(atoms, LINEAR_TABLE)) <= 3e-12
+
+
+@pytest.mark.parametrize("scale", [-700, -1000])
+def test_luxemburg_root_where_u0_over_u_leaves_the_floats_raises(scale):
+    """The roots 1.9e-311 and 9.3e-402 lie below the largest value over the
+    largest float.  There v / u overflows to inf, so the bracket search
+    stops at that edge, goes to u = 0 and raises, never returning the edge
+    itself (5.6e-309) as a norm."""
+    space = Orlicz(fn_from_json(LINEAR_TABLE))
+    with pytest.raises(NumericalError, match="^luxemburg bracketing underflows to u = 0$"):
+        space_norm(space, Distribution(((1.0, 2.0**scale),)))
