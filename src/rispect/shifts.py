@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spaces import fundamental
+import numpy as np
+
+from .spaces import NumericalError, fundamental, fundamentals
 from .steps import Seq
 
 __all__ = [
@@ -25,13 +27,11 @@ __all__ = [
     "solve_shift_minus",
 ]
 
-# Hard cap on one-sided series extension before declaring divergence.
-SERIES_MAX_INDEX = 10000
-_TERM_OVERFLOW = 1e250
+_MAX_BLOCK = 1000  # the exact-measure range of a Seq
 
 
 class SeriesDivergenceError(ArithmeticError):
-    """Raised when a weighted series fails to decay within the index cap."""
+    """Raised where a side of the inverse series fails to decay within blocks -1000 .. 1000."""
 
 
 @dataclass(frozen=True)
@@ -89,58 +89,43 @@ def squared_window(lam: float, k: int, n: int) -> Seq:
     return Seq(out)
 
 
-def _extend_side(
-    start_coeff: float,
-    step: "callable",
-    weight_at: "callable",
-    min_steps: int,
-    tol: float,
-) -> tuple[list[float], float]:
-    """Walk one side of the inverse series until weighted terms fall below tol.
-
-    Returns the kept coefficients (index 1 upward on that side) and a bound on
-    the weighted mass of everything discarded.  The recurrences are exact
-    beyond the input support, so decay, once established, is geometric.
-    """
-    kept: list[float] = []
-    coeff = start_coeff
-    n = 1
-    while True:
-        term = abs(coeff) * weight_at(n)
-        if not math.isfinite(term) or term > _TERM_OVERFLOW:
+def _side(coeff: float, step, sign: int, reach: int, tol: float, space):
+    """One side of the inverse series: (kept coefficients by block, tail bound).
+    Coefficient n >= 1, on block sign * n, is coeff, then step(n, previous); a
+    is 0 past block sign * reach.  Windows of blocks double from max(1, reach) + 64."""
+    kept: dict[int, float] = {}
+    weights: list[float] = []
+    tail = None
+    for n in range(1, _MAX_BLOCK + 1):
+        if n > len(weights):
+            stop = min(_MAX_BLOCK, max(2 * len(weights), max(1, reach) + 64)) + 1
+            try:  # weights past the walk may leave the floats: then weigh block n alone
+                weights += fundamentals(space, np.ldexp(1.0, sign * np.arange(n, stop))).tolist()
+            except NumericalError:
+                weights.append(fundamental(space, math.ldexp(1.0, sign * n)))
+        term = abs(coeff) * weights[n - 1]
+        if tail is not None:
+            if not math.isfinite(term):
+                raise SeriesDivergenceError("discarded tail overflows")
+            if term > tol:  # so above the term before it: each one past the cut was <= tol
+                raise SeriesDivergenceError("discarded tail fails to decay")
+            tail += term
+            if term < tol * 1e-9:
+                return kept, tail
+        elif n > max(1, reach) and term < tol:
+            tail = term
+        elif not math.isfinite(term) or term > 1e250:
             raise SeriesDivergenceError(
                 f"series term at offset {n} overflows; no convergent right inverse"
             )
-        if n > min_steps and term < tol:
-            break
-        kept.append(coeff)
-        if n >= SERIES_MAX_INDEX:
-            raise SeriesDivergenceError(
-                f"series terms still above tol={tol} at offset {SERIES_MAX_INDEX}"
-            )
+        else:
+            kept[sign * n] = coeff
         coeff = step(n, coeff)
-        n += 1
-
-    # Sum the discarded weighted terms explicitly until they are negligible
-    # next to tol, then close with a geometric estimate from the last ratio.
-    tail = 0.0
-    prev_term = abs(coeff) * weight_at(n)
-    tail += prev_term
-    extra = 0
-    while extra < 400 and n + 1 <= SERIES_MAX_INDEX:
-        coeff = step(n, coeff)
-        n += 1
-        term = abs(coeff) * weight_at(n)
-        if not math.isfinite(term):
-            raise SeriesDivergenceError("discarded tail overflows")
-        if term >= prev_term and term > tol:
-            raise SeriesDivergenceError("discarded tail fails to decay")
-        tail += term
-        if term < tol * 1e-9:
-            break
-        prev_term = term
-        extra += 1
-    return kept, tail
+    if tail is None:
+        raise SeriesDivergenceError(
+            f"series reaches block index {sign * (_MAX_BLOCK + 1)} without decaying below tol"
+        )
+    raise SeriesDivergenceError(f"discarded tail above tol*1e-9 at block index {sign * _MAX_BLOCK}")
 
 
 def solve_shift_minus(a: Seq, lam: float, tol: float, space) -> TruncatedSeq:
@@ -148,12 +133,17 @@ def solve_shift_minus(a: Seq, lam: float, tol: float, space) -> TruncatedSeq:
 
     y[n]  = -sum_{i=1..n} lam**(i-n-1) a[i]          for n >= 1,
     y[-n] =  sum_{i=1..n} lam**(n-i)  a[-i+1]        for n >= 1,
-    y[0]  = 0.
+    y[0]  = 0,
 
-    Both sides are truncated where the term |y[n]| * ||e_n|| (norm taken in
-    the block lattice of `space`) stays below tol; applying shift_minus to the
-    truncation reproduces a exactly except at the two boundary indices, and the
-    boundary defect is controlled by tail_bound.
+    by the recurrences y[1] = -a[1] / lam, y[n+1] = (y[n] - a[n+1]) / lam,
+    y[-1] = a[0] and y[-n-1] = lam * y[-n] + a[-n].  Each side is cut at its
+    first block k past max(1, the support of a on that side) whose term
+    |y[k]| * ||e_k|| (block lattice of `space`) is below tol.  tail_bound, the
+    terms from each cut through the first later one below tol * 1e-9, controls
+    the defect of shift_minus on the truncation at its two boundary blocks.
+    Only blocks -1000 .. 1000 are weighed: SeriesDivergenceError means a side
+    with no cut there, a tail still at least tol * 1e-9 at block +-1000, or a
+    term not finite, above 1e250 before the cut or above tol past it.
     """
     if not lam > 0:
         raise ValueError(f"positive lam required, got {lam}")
@@ -161,39 +151,6 @@ def solve_shift_minus(a: Seq, lam: float, tol: float, space) -> TruncatedSeq:
         raise ValueError(f"positive tol required, got {tol}")
     if a.is_zero:
         return TruncatedSeq(Seq(), 0.0)
-
-    def weight(k: int) -> float:
-        # Block measures stay exact floats only while |k| is moderate; a series
-        # still above tol out here has no usable inverse anyway.
-        if abs(k) > 1000:
-            raise SeriesDivergenceError(
-                f"series reaches block index {k} without decaying below tol"
-            )
-        return fundamental(space, math.ldexp(1.0, k))
-
-    lo, hi = a.k_min, a.k_max
-    # Positive side: c_1 = -a[1]/lam, then c_{n+1} = (c_n - a[n+1]) / lam.
-    pos_first = -a[1] / lam
-    pos, tail_pos = _extend_side(
-        pos_first,
-        step=lambda n, c: (c - a[n + 1]) / lam,
-        weight_at=lambda n: weight(n),
-        min_steps=max(1, hi),
-        tol=tol,
-    )
-    # Negative side: d_1 = a[0], then d_{n+1} = lam * d_n + a[-n].
-    neg_first = a[0]
-    neg, tail_neg = _extend_side(
-        neg_first,
-        step=lambda n, d: lam * d + a[-n],
-        weight_at=lambda n: weight(-n),
-        min_steps=max(1, -lo),
-        tol=tol,
-    )
-
-    out: dict[int, float] = {}
-    for j, c in enumerate(pos, start=1):
-        out[j] = c
-    for j, d in enumerate(neg, start=1):
-        out[-j] = d
-    return TruncatedSeq(Seq(out), tail_pos + tail_neg)
+    pos, tail_pos = _side(-a[1] / lam, lambda n, c: (c - a[n + 1]) / lam, 1, a.k_max, tol, space)
+    neg, tail_neg = _side(a[0], lambda n, d: lam * d + a[-n], -1, -a.k_min, tol, space)
+    return TruncatedSeq(Seq({**pos, **neg}), tail_pos + tail_neg)

@@ -172,11 +172,14 @@ class TableFn(FnSpec):
             if not v2 > v1:
                 raise ValueError(f"table values must increase, got {v1} then {v2}")
         object.__setattr__(self, "points", pts)
-        # Not dataclass fields, which are the JSON fields: the log knots and
-        # the slopes of the low extrapolation, each piece and the high one.
-        lts, lvs = np.log([t for t, _ in pts]), np.log([v for _, v in pts])
-        s = (np.diff(lvs) / np.diff(lts)).tolist()
-        object.__setattr__(self, "_loglog", (lts, lvs, (s[0], *s, s[-1])))
+        # Not dataclass fields, which are the JSON fields: the log knots and the
+        # slopes of the low extrapolation, each piece and the high one, each as
+        # log(v1/v0) / log(t1/t0): a difference of logs is off by their ulps.
+        lx = np.log(pts)
+        d = np.log([[t1 / t0, v1 / v0] for (t0, v0), (t1, v1) in zip(pts, pts[1:])])
+        d = np.where(d < np.inf, d, np.diff(lx, axis=0))  # a ratio above the floats
+        s = (d[:, 1] / d[:, 0]).tolist()
+        object.__setattr__(self, "_loglog", (*lx.T, (s[0], *s, s[-1])))
 
     def value(self, t):
         lt = np.log(np.asarray(t, dtype=float))

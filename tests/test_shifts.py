@@ -5,19 +5,26 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rispect import (
+    Lorentz,
+    Orlicz,
+    PiecewisePower,
+    PurePower,
     Seq,
     SeriesDivergenceError,
+    TableFn,
     block_norm,
+    fundamental,
     geometric_window,
     shift,
     shift_minus,
     solve_shift_minus,
     squared_window,
 )
+from rispect import shifts
 
 coeff_maps = st.dictionaries(
     st.integers(min_value=-30, max_value=30),
@@ -190,7 +197,8 @@ def test_solve_roundtrip_defect(quarter_mirror):
 
 def test_solve_diverges_outside_window(quarter):
     """The (1/4, 3/4) space has an empty convergence window at rate 1.5."""
-    with pytest.raises(SeriesDivergenceError):
+    message = "^series reaches block index -1001 without decaying below tol$"
+    with pytest.raises(SeriesDivergenceError, match=message):
         solve_shift_minus(Seq.unit(0), 1.5, 1e-12, quarter)
 
 
@@ -199,3 +207,156 @@ def test_solve_interior_rate_on_mirror(quarter_mirror):
     sol = solve_shift_minus(Seq.unit(0), lam, 1e-10, quarter_mirror)
     defect = shift_minus(sol.seq, lam) - Seq.unit(0)
     assert block_norm(quarter_mirror, defect) <= sol.tail_bound * (lam + 1.0) + 1e-12
+
+
+# --- the inverse series against a per-term reference ------------------------------
+
+
+def reference_side(ys, sign, reach, tol, space):
+    """One side of solve_shift_minus as its docstring states it, ys[n - 1]
+    being y at block sign * n for n = 1 .. 1000: (kept coefficients by block,
+    tail bound), or the message of the SeriesDivergenceError due.  Each block
+    is weighed by one scalar `fundamental` call, and only as far as needed."""
+    terms = []
+    for n, y in enumerate(ys, start=1):
+        terms.append(abs(y) * fundamental(space, 2.0 ** (sign * n)))
+        if n > max(1, reach) and terms[-1] < tol:
+            break
+        if not terms[-1] <= 1e250:
+            return f"series term at offset {n} overflows; no convergent right inverse"
+    else:
+        return f"series reaches block index {sign * 1001} without decaying below tol"
+    cut = len(terms)
+    for n, y in enumerate(ys[cut:], start=cut + 1):
+        terms.append(abs(y) * fundamental(space, 2.0 ** (sign * n)))
+        if not math.isfinite(terms[-1]):
+            return "discarded tail overflows"
+        if terms[-1] > tol:
+            return "discarded tail fails to decay"
+        if terms[-1] < tol * 1e-9:
+            return {sign * m: ys[m - 1] for m in range(1, cut)}, sum(terms[cut - 1 :])
+    return f"discarded tail above tol*1e-9 at block index {sign * 1000}"
+
+
+def reference_solve(a, lam, tol, space):
+    """(Seq of the coefficients, tail bound) or the error message, from the
+    recurrences of the docstring: y[1] = -a[1] / lam, y[n+1] = (y[n] -
+    a[n+1]) / lam, y[-1] = a[0], y[-n-1] = lam * y[-n] + a[-n]."""
+    up, down = [-a[1] / lam], [a[0]]
+    for n in range(1, 1000):
+        up.append((up[-1] - a[n + 1]) / lam)
+        down.append(lam * down[-1] + a[-n])
+    sides = [
+        reference_side(up, 1, a.k_max, tol, space),
+        reference_side(down, -1, -a.k_min, tol, space),
+    ]
+    for side in sides:
+        if isinstance(side, str):
+            return side
+    return Seq({**sides[0][0], **sides[1][0]}), sides[0][1] + sides[1][1]
+
+
+# The series converges for theta = log2(lam) in (1/4, 3/4) on the third
+# space and in (1/8, 1/2) on the fourth, and nowhere on the others.
+INVERSE_SPACES = [
+    Lorentz(1, PurePower(0.5)),
+    Lorentz(1, PiecewisePower(0.25, 0.75)),
+    Lorentz(1, PiecewisePower(0.75, 0.25)),
+    Lorentz(2, PiecewisePower(1.0, 0.25)),
+    Orlicz(PurePower(2.0)),
+]
+
+
+@settings(max_examples=120)
+@given(
+    space=st.sampled_from(INVERSE_SPACES),
+    coeffs=st.dictionaries(st.integers(-6, 6), st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    theta=st.floats(0.0, 1.0),
+    log_tol=st.floats(-14.0, -1.0),
+)
+def test_solve_equals_the_per_term_reference(space, coeffs, theta, log_tol):
+    """Coefficients and tail bound bit for bit, or the same error message."""
+    a, lam, tol = Seq(coeffs), 2.0**theta, 10.0**log_tol
+    if a.is_zero:
+        return
+    want = reference_solve(a, lam, tol, space)
+    try:
+        got = solve_shift_minus(a, lam, tol, space)
+    except SeriesDivergenceError as err:
+        assert str(err) == want
+        return
+    assert (got.seq, got.tail_bound) == want
+
+
+def test_solve_sums_the_tail_past_the_former_400_term_cap(lorentz_sqrt):
+    """Terms fall by 0.97 per block, from the cut at block 227 to tol * 1e-9
+    at block 907.  The former 400-term cap stopped the tail at block 627 and
+    read 0.03311770777554462, 5e-6 below the full sum; the 226 coefficients
+    are the ones it kept."""
+    sol = solve_shift_minus(Seq.unit(1), 2.0**0.5 / 0.97, 1e-3, lorentz_sqrt)
+    assert sorted(sol.seq.coeffs) == list(range(1, 227))
+    assert sol.seq[226] == -9.863304347127843e-38
+    assert sol.tail_bound == 0.03311787200254368 >= 0.03311770777554462
+    assert (sol.seq, sol.tail_bound) == reference_solve(
+        Seq.unit(1), 2.0**0.5 / 0.97, 1e-3, lorentz_sqrt
+    )
+
+
+@pytest.mark.parametrize(
+    "lam, tol",
+    # Cut at block 342, where the former cap returned a tail bound of 0.0499
+    # that stopped 400 terms later; and a cut at block 907, which read "series
+    # reaches block index 1001 without decaying below tol".
+    [(2.0**0.5 / 0.98, 1e-3), (2.0**0.5 / 0.97, 1e-12)],
+)
+def test_solve_tail_still_above_its_floor_at_block_1000_diverges(lorentz_sqrt, lam, tol):
+    message = "^discarded tail above tol\\*1e-9 at block index 1000$"
+    with pytest.raises(SeriesDivergenceError, match=message):
+        solve_shift_minus(Seq.unit(1), lam, tol, lorentz_sqrt)
+
+
+@pytest.mark.parametrize(
+    "a, lam, message",
+    [
+        (Seq.unit(1), 1e-200, "series term at offset 2 overflows; no convergent right inverse"),
+        (Seq.unit(-1), 1e200, "series term at offset 4 overflows; no convergent right inverse"),
+        (Seq.unit(1000), 2.0, "series reaches block index 1001 without decaying below tol"),
+    ],
+)
+def test_solve_divergence_messages(lorentz_sqrt, a, lam, message):
+    with pytest.raises(SeriesDivergenceError, match=f"^{message}$"):
+        solve_shift_minus(a, lam, 1e-12, lorentz_sqrt)
+
+
+def test_solve_weighs_each_side_in_windows(monkeypatch, quarter_mirror):
+    """Work count: four `fundamentals` calls, blocks 1 .. 65 and 66 .. 130 on
+    the positive side, 1 .. 65 and 66 .. 260 on the negative, where a scalar
+    `fundamental` call per term took 256."""
+    calls = []
+
+    def counted(space, t):
+        calls.append(len(t))
+        return weigh(space, t)
+
+    weigh = shifts.fundamentals
+    monkeypatch.setattr(shifts, "fundamentals", counted)
+    sol = solve_shift_minus(Seq.unit(0), 2.0**0.5, 1e-10, quarter_mirror)
+    assert calls == [65, 65, 65, 130]
+    assert len(sol.seq.coeffs) == 130 and sol.tail_bound == 6.152798309624373e-10
+
+
+@pytest.mark.parametrize(
+    "tol, size, tail_bound",
+    # The bounds read 1.1641532177273487e190 and 5.271098966708839e118 while
+    # the table's slope read 1 + 2.7e-15.
+    [(1e190, 33, 1.1641532177272826e190), (1e200 * 2.0**-270, 270, 5.2710989667062e118)],
+)
+def test_solve_weighs_only_the_blocks_it_reaches(tol, size, tail_bound):
+    """Block weights 1e200 * 2**k leave the floats from k = 359 on, past
+    both walks: their coefficients are -4**-n, as when each term was weighed
+    alone.  Weighing blocks -1000 .. 1000 at once raised, and so does the
+    window 261 .. 520 of the second walk, which then weighs block by block."""
+    space = Lorentz(1, TableFn(((1, 1e200), (2, 2e200))))
+    sol = solve_shift_minus(Seq.unit(1), 4.0, tol, space)
+    assert sol.seq.coeffs == {n: -(4.0**-n) for n in range(1, size + 1)}
+    assert sol.tail_bound == tail_bound

@@ -303,24 +303,33 @@ extreme_coeffs = st.floats(5e-324, 1.7e308).flatmap(lambda c: st.sampled_from([c
     ds=st.lists(st.lists(extreme_atoms, min_size=1, max_size=5), min_size=1, max_size=4),
     coeffs=st.dictionaries(st.integers(-1000, 1000), extreme_coeffs, min_size=1, max_size=5),
     ks=st.lists(st.integers(-1000, 1000), min_size=1, max_size=4),
+    ts=st.lists(st.floats(2.0**-1074, 2.0**1023), min_size=1, max_size=4),
 )
 # A block norm that overflows (it read inf), measures whose merged sum
 # overflows, and cumulative Lorentz measures that overflow (both warned).
-@example(space=Orlicz(PurePower(2.0)), ds=[[(1.0, 1.0)]], coeffs={0: 1.5e154}, ks=[0])
-@example(space=Orlicz(PurePower(2.0)), ds=[[(1.0, 1e308), (1.0, 1e308)]], coeffs={0: 1.0}, ks=[0])
+@example(space=Orlicz(PurePower(2.0)), ds=[[(1.0, 1.0)]], coeffs={0: 1.5e154}, ks=[0], ts=[1.0])
+@example(
+    space=Orlicz(PurePower(2.0)),
+    ds=[[(1.0, 1e308), (1.0, 1e308)]],
+    coeffs={0: 1.0},
+    ks=[0],
+    ts=[1.0],
+)
 @example(
     space=Lorentz(1e6, PurePower(0.5)),
     ds=[[(1.0, 1e308), (2.0, 1e308)]],
     coeffs={0: 1.0},
     ks=[0],
+    ts=[1.0],
 )
-def test_norms_of_extreme_inputs_are_positive_floats_or_refused(space, ds, coeffs, ks):
-    """space_norms and block_norms give finite positive norms, or raise
-    NumericalError or ValueError, with no warning, for values from the least
-    subnormal to 1.7e308 and measures from 2**-1074 to 2**1023."""
+def test_norms_of_extreme_inputs_are_positive_floats_or_refused(space, ds, coeffs, ks, ts):
+    """space_norms, block_norms and fundamentals give finite positive norms,
+    or raise NumericalError or ValueError, with no warning, for values from
+    the least subnormal to 1.7e308 and measures from 2**-1074 to 2**1023."""
     calls = [
         lambda: space_norms(space, [Distribution(tuple(atoms)) for atoms in ds]),
         lambda: block_norms(space, Seq(coeffs), ks),
+        lambda: fundamentals(space, ts),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
