@@ -151,19 +151,21 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
     for region, last_n in (("zero", -inner.k_min), ("infinity", inner.k_max - max(inner.k_min, 0))):
         if last_n < n_max:
             raise ValueError(f"window too small for n={max(last_n, 0) + 1} in region {region!r}")
-    # One pass per n: both ratio arrays once, then each sup over its region's slice.
-    per_n: dict[str, list[float]] = {name: [] for name in _EXPONENTS}
-    s = inner.s
-    for n in range(1, n_max + 1):
-        ratios = {"up": s[n:] / s[:-n], "down": s[:-n] / s[n:]}
-        slices = {
-            "all": slice(None),
-            "zero": slice(1 - n - inner.k_min),
-            "infinity": slice(max(0, -inner.k_min), None),
-        }
-        for name, (region, direction, sign) in _EXPONENTS.items():
-            sup = ratios[direction][slices[region]].max()
-            per_n[name].append(sign * math.log2(sup) / n)
+    # Row n - 1 of ahead is s moved left by n, NaN past its end (fmax skips NaN),
+    # column i at k = inner.k_min + i; "zero" keeps k + n <= 0, "infinity" k >= 0.
+    s, z = inner.s, -inner.k_min
+    ahead = np.lib.stride_tricks.sliding_window_view(np.r_[s, [np.nan] * n_max], s.size)[1:]
+    zero = np.arange(z + 1) <= z - np.arange(1, n_max + 1)[:, None]
+    ratios, sups = np.empty(ahead.shape), {}
+    for direction, (a, b) in (("up", (ahead, s)), ("down", (s, ahead))):
+        np.divide(a, b, out=ratios)  # one array for both directions bounds the memory
+        sups["all", direction] = np.fmax.reduce(ratios, axis=1)
+        sups["zero", direction] = np.fmax.reduce(ratios[:, : z + 1], 1, where=zero, initial=-np.inf)
+        sups["infinity", direction] = np.fmax.reduce(ratios[:, z:], axis=1)
+    per_n = {
+        name: [sign * math.log2(x) / n for n, x in enumerate(sups[region, direction].tolist(), 1)]
+        for name, (region, direction, sign) in _EXPONENTS.items()
+    }
 
     estimates = {name: _clamp01(series[-1]) for name, series in per_n.items()}
     half = max(1, n_max // 2)

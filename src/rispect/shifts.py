@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import NumericalError, fundamental, fundamentals
+from .spaces import NumericalError, fundamentals
 from .steps import Seq
 
 __all__ = [
@@ -92,17 +92,20 @@ def squared_window(lam: float, k: int, n: int) -> Seq:
 def _side(coeff: float, step, sign: int, reach: int, tol: float, space):
     """One side of the inverse series: (kept coefficients by block, tail bound).
     Coefficient n >= 1, on block sign * n, is coeff, then step(n, previous); a
-    is 0 past block sign * reach.  Windows of blocks double from max(1, reach) + 64."""
+    is 0 past block sign * reach.  Windows of blocks double from max(1, reach)
+    + 64, and after one that leaves the floats each block is weighed alone."""
     kept: dict[int, float] = {}
     weights: list[float] = []
-    tail = None
+    tail, alone = None, False
     for n in range(1, _MAX_BLOCK + 1):
-        if n > len(weights):
-            stop = min(_MAX_BLOCK, max(2 * len(weights), max(1, reach) + 64)) + 1
-            try:  # weights past the walk may leave the floats: then weigh block n alone
+        while n > len(weights):
+            stop = n + 1 if alone else min(_MAX_BLOCK, max(2 * len(weights), reach + 64, 65)) + 1
+            try:  # weights past the walk may leave the floats
                 weights += fundamentals(space, np.ldexp(1.0, sign * np.arange(n, stop))).tolist()
             except NumericalError:
-                weights.append(fundamental(space, math.ldexp(1.0, sign * n)))
+                if stop == n + 1:
+                    raise
+                alone = True
         term = abs(coeff) * weights[n - 1]
         if tail is not None:
             if not math.isfinite(term):

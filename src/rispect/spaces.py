@@ -59,7 +59,7 @@ _LOG_LEAST = math.log(np.finfo(float).smallest_subnormal) + 2.0**-30
 # [2**-j, 1], read off one evaluation of N at 2**+-j for every j up to this
 # cap: 2**+-1100 covers the float range and block measures up to 2**+-1000.
 _MAX_BRACKET = 1100
-# The scales of a _grouped_norms request normed as it is; read-only, shared.
+# The scales of a _grouped_norms batch normed as it is; read-only, shared.
 _UNSCALED = np.broadcast_to(1.0, 1)
 
 
@@ -496,47 +496,56 @@ def space_norms(space: SpaceSpec, ds: Iterable[Distribution]) -> list[float]:
     """Element i is the norm of the i-th distribution of ds, 0.0 when it is
     zero; a norm that overflows is a NumericalError.  ds may be any iterable,
     such as a generator: only each distribution's atom arrays are kept."""
-    norms = _grouped_norms(space, [(d.values, d.measures, _UNSCALED) for d in ds])
+    rows = [(d.values, d.measures) for d in ds]
+    offsets = np.cumsum([0] + [v.size for v, _ in rows])
+    values, measures = (np.concatenate([np.zeros(0), *(row[i] for row in rows)]) for i in (0, 1))
+    norms = _grouped_norms(space, [(values, measures, offsets, _UNSCALED)])
     if not np.isfinite(norms).all():
         raise NumericalError("the norm of a distribution overflows")
     return norms.tolist()
 
 
-def _grouped_norms(space: SpaceSpec, requests: list) -> np.ndarray:
-    """The norms of every request's rows, request after request.  Request
-    (values, measures, scales) is a distribution's canonical atoms, normed
-    with its measures times each scale (scales _UNSCALED norms it as it is);
-    no atoms read 0.0.  The rows of all requests of one atom count are normed in
-    order, _NORM_ELEMS elements per evaluation; only the rows of the
-    evaluation at hand are built, C-contiguous.
-
-    A Lorentz request's cumulative measures are summed once, on its base
-    row, and scaled per row: 2**k times a partial sum rounds as the partial
-    sum of the scaled measures while both stay normal floats, which every
-    shifted block row does inside |k| <= 1000."""
-    lorentz, firsts, groups = isinstance(space, Lorentz), [0], {}
-    for r, (values, _, scales) in enumerate(requests):
-        firsts.append(firsts[-1] + scales.size)
-        if values.size and firsts[-1] > firsts[-2]:
-            groups.setdefault(values.size, []).append(r)
-    out = np.zeros(firsts[-1])
-    for width, idx in groups.items():
-        values = np.array([requests[r][0] for r in idx])
-        measures = np.array([requests[r][1] for r in idx])
+def _grouped_norms(space: SpaceSpec, batches: list) -> np.ndarray:
+    """The norms of every batch's rows, batch after batch.  Batch (values,
+    measures, offsets, scales) holds canonical rows as _canonical_rows gives
+    them, each normed with its measures times each scale in turn (scales
+    _UNSCALED norms it as it is); a row with no atoms reads 0.0.  The rows of
+    one atom count are normed in order across batches, _NORM_ELEMS elements
+    per evaluation, each row gathered once; a chunk inside one row shares its
+    value row.  A Lorentz row's cumulative measures are scaled per norm: 2**k
+    times a partial sum rounds as the partial sum of the scaled measures while
+    both stay normal floats, as every shifted block row does in |k| <= 1000."""
+    lorentz = isinstance(space, Lorentz)
+    values, measures, offsets, scales = zip(*batches)
+    widths = np.concatenate([o[1:] - o[:-1] for o in offsets])
+    copies = np.repeat([s.size for s in scales], [o.size - 1 for o in offsets])
+    # Per row: where its atoms start in the flat arrays, and where its norms end in out.
+    starts, ends = np.cumsum(widths) - widths, np.cumsum(copies)
+    scales = np.concatenate([np.tile(s, o.size - 1) for o, s in zip(offsets, scales)])
+    flat = [x[0] if len(x) == 1 else np.concatenate(x) for x in (values, measures)]
+    out, order = np.zeros(scales.size), np.argsort(widths, kind="stable")
+    # The rows of each atom count but 0, in order of first appearance.
+    w = widths[order]
+    cuts = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), w.size]
+    groups = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo and w[lo]]
+    for rows in sorted(groups, key=lambda g: g[0]):
+        width, n = int(widths[rows[0]]), copies[rows]
+        # Norm i of the group is one of row rows[row_of[i]]'s, and goes to out[dest[i]].
+        row_of = np.repeat(np.arange(rows.size), n)
+        dest = np.arange(row_of.size) + np.repeat(ends[rows] - np.cumsum(n), n)
+        # Each row of the group once, by its start: row j of a view is the width atoms from j on.
+        views = (np.ndarray((x.size - width + 1, width), float, x, 0, (8, 8)) for x in flat)
+        v, m = (x[starts[rows]] for x in views)
         if lorentz:
             with np.errstate(over="ignore"):  # an inf sum gives a non-finite norm
-                measures = np.cumsum(measures, axis=1)
-        scales = np.concatenate([requests[r][2] for r in idx])
-        dest = np.concatenate([np.arange(firsts[r], firsts[r + 1]) for r in idx])
-        owner = np.repeat(np.arange(len(idx)), [firsts[r + 1] - firsts[r] for r in idx])
+                m = np.cumsum(m, axis=1)
         budget = max(1, _NORM_ELEMS // width)
         for a in range(0, dest.size, budget):
-            rows = owner[a : a + budget]
-            if rows[0] == rows[-1]:  # one request: its value row, shared
-                rows = rows[0]
-            out[dest[a : a + budget]] = _norm_rows(
-                space, values[rows], scales[a : a + budget, None] * measures[rows]
-            )
+            at, own = dest[a : a + budget], row_of[a : a + budget]
+            lo, hi = int(own[0]), int(own[-1]) + 1
+            # One row shares its value row; rows once each, in order, are a slice.
+            own = lo if hi - lo == 1 else slice(lo, hi) if hi - lo == own.size else own
+            out[at] = _norm_rows(space, v[own], scales[at, None] * m[own])
     return out
 
 
@@ -545,17 +554,17 @@ def block_norm(space: SpaceSpec, a: Seq) -> float:
     return space_norm(space, a.distribution())
 
 
-def _block_request(a: Seq, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _grouped_norms request of the rows shift(a, k), k in ks: the shift
+def _block_request(a: Seq, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The _grouped_norms batch of the rows shift(a, k), k in ks: the shift
     keeps the canonical atoms and scales every block measure by 2**k, exactly.
     ValueError when a shifted block leaves the exact range |k| <= 1000."""
     ks = np.asarray(ks, dtype=int)
     if a.is_zero or not ks.size:
-        return np.zeros(0), np.zeros(0), np.ones(ks.size)
+        return np.zeros(0), np.zeros(0), np.zeros(2, dtype=int), np.ones(ks.size)
     if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
         raise ValueError("shifted block index outside the exact-measure range")
     d = a.distribution()
-    return d.values, d.measures, np.ldexp(1.0, ks)
+    return d.values, d.measures, np.array([0, d.values.size]), np.ldexp(1.0, ks)
 
 
 def block_norms(space: SpaceSpec, a: Seq, ks) -> np.ndarray:

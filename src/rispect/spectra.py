@@ -10,7 +10,6 @@ functional, and the exact range identity.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -194,11 +193,11 @@ def _images(lam: float, coeffs: np.ndarray) -> np.ndarray:
         return np.pad(coeffs[:, :-1], ((0, 0), (1, 0))) - lam * coeffs
 
 
-def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks) -> list:
-    """The _grouped_norms requests, over all starts ks, of the windows of each
+def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks, keep=slice(None)):
+    """The _grouped_norms batch, at every start k of ks, of the windows of each
     rate (outer) and n: the geometric window, its image under shift - lam,
-    the squared window, its image and the image of that.  Each is one array
-    row of coefficients on blocks 0, 1, ..., shifted by k as a request; the
+    the squared window, its image and the image of that.  Each is a row of
+    coefficients on blocks 0, 1, ..., in the batch where keep selects it; the
     first (rate, n) that fails raises as its windows built one by one do."""
     ks, ns = np.asarray(ks, dtype=int), np.asarray(ns, dtype=int)[:, None]
     j = np.arange(2 * ns.max(initial=0) + 3)
@@ -224,8 +223,7 @@ def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks) ->
     # Past the last nonzero block the rows are 0: a block measure there could overflow.
     measures = np.ldexp(1.0, np.arange(last.max(initial=-1) + 1))
     rows = np.abs(rows[:, :, : measures.size]).reshape(5 * len(rows), measures.size)
-    scales = np.ldexp(1.0, ks)
-    return [(v, m, scales) for v, m in _canonical_rows(rows, measures)]
+    return (*_canonical_rows(rows[keep], measures), np.ldexp(1.0, ks))
 
 
 def _window_scan(norms: np.ndarray, ns: Sequence[int], ks: Sequence[int]) -> list[tuple]:
@@ -282,7 +280,7 @@ def residual_curve(
     if not ks:
         raise ValueError("empty k_search")
     ns = sorted(set(int(n) for n in n_list))
-    norms = _grouped_norms(space, _scan_requests(lam, [lam], ns, ks))
+    norms = _grouped_norms(space, [_scan_requests(lam, [lam], ns, ks)])
     return _curve(lam, ks, _window_scan(norms, ns, ks))
 
 
@@ -306,15 +304,15 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.nda
     return np.array(starts, dtype=int), rows[: len(starts)]
 
 
-def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> list:
-    """One-row _grouped_norms requests of the probes a of _random_probes, in
-    order, then of each (shift - lam) a; both canonicalised as arrays."""
+def _probe_requests(lam: float, starts: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """The _grouped_norms batch of the probes a of _random_probes, in order,
+    then of each (shift - lam) a, each row normed as it is."""
     images = _images(lam, coeffs)
     if not np.isfinite(images).all():
         raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
     measures = np.ldexp(1.0, starts[:, None] + np.arange(images.shape[1]))
-    rows = _canonical_rows(np.abs(coeffs), measures) + _canonical_rows(np.abs(images), measures)
-    return [(values, measures, _UNSCALED) for values, measures in rows]
+    rows = np.abs(np.concatenate((coeffs, images)))
+    return (*_canonical_rows(rows, np.concatenate((measures, measures))), _UNSCALED)
 
 
 def probe_lower_bound(
@@ -351,43 +349,38 @@ def probe_lower_bounds(
 
 def _probe_bounds(space: SpaceSpec, grid: list, cfg: ProbeConfig, ix: Optional[IndexSet]) -> list:
     """The probe_lower_bound of each (lam_index, lam) of grid.  Each lam's
-    requests are built in grid order, so the first lam that fails to build
+    batches are built in grid order, so the first lam that fails to build
     raises as it would alone, and then all are normed in one _grouped_norms
     call.  The unit vector, and the geometric and squared windows of each
-    (rate, n) (scan positions 0 and 2), do not depend on lam: each is listed
-    once, by that position, at the first lam that has it."""
+    (rate, n) (scan positions 0 and 2), do not depend on lam: each row is
+    normed once, by that position, at the first lam that has it."""
     ks = range(cfg.k_lo, cfg.k_hi + 1)
     ns = sorted(set(int(n) for n in cfg.n_values))
-    requests, slots, plans = [], {}, []
+    batches, seen, plans, size = [], {}, [], 0
     for lam_index, lam in grid:
         if not lam > 0:
             raise ValueError(f"positive lam required, got {lam}")
         if math.isinf(lam):  # (shift - lam) e_0 = e_1 - lam e_0
             raise NumericalError(f"(shift - lam) image overflows at lam={lam}")
         rates = sorted(set([lam] + ([] if ix is None else [2.0**ix.alpha, 2.0**ix.beta])))
-        # The unit vector and its image at every k, the windows of every
-        # rate, the random probes: keyed where lam leaves them as they are.
-        own = [_block_request(Seq({0: 1.0}), ks), _block_request(Seq({0: -lam, 1: 1.0}), ks)]
+        # The unit vector and its image, the windows of every rate: keyed where lam
+        # leaves them as they are.  A row's norms at every k start at its where.
         keys = ["unit", None]
-        own += _scan_requests(lam, rates, ns, ks)
         keys += [(rate, n, i) if i in (0, 2) else None for rate in rates for n in ns for i in range(5)]
-        own += _probe_requests(lam, *_random_probes(cfg, lam_index))
-        where = []
-        for request, key in itertools.zip_longest(own, keys):
-            where.append(len(requests) if key is None else slots.setdefault(key, len(requests)))
-            if where[-1] == len(requests):
-                requests.append(request)
-        plans.append((lam, rates, np.array(where)))
-    sizes = np.array([s.size for _, _, s in requests], dtype=int)
-    firsts = np.cumsum(sizes) - sizes
-    norms = _grouped_norms(space, requests)
-    results = []
-    for lam, rates, where in plans:
-        # The rows of this lam's requests in order: request r's rows start at firsts[r].
-        size = sizes[where]
-        take = np.arange(size.sum()) + np.repeat(firsts[where] - (np.cumsum(size) - size), size)
-        results.append(_probe_result(lam, rates, ns, ks, norms[take]))
-    return results
+        where, new = [], []
+        for key in keys:
+            where.append(size if key is None else seen.setdefault(key, size))
+            new.append(where[-1] == size)
+            size += len(ks) * new[-1]
+        unit, image = (_block_request(Seq(a), ks) for a in ({0: 1.0}, {0: -lam, 1: 1.0}))
+        scan = _scan_requests(lam, rates, ns, ks, np.array(new[2:], dtype=bool))
+        probes = _probe_requests(lam, *_random_probes(cfg, lam_index))
+        batches += [unit] * new[0] + [image, scan, probes]
+        take = (np.array(where)[:, None] + np.arange(len(ks))).ravel()
+        plans.append((lam, rates, np.r_[take, size : size + probes[2].size - 1]))
+        size += probes[2].size - 1
+    norms = _grouped_norms(space, batches)
+    return [_probe_result(lam, rates, ns, ks, norms[take]) for lam, rates, take in plans]
 
 
 def _probe_result(lam: float, rates: list, ns: list, ks: range, norms: np.ndarray) -> ProbeResult:

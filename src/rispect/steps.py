@@ -75,7 +75,7 @@ class Distribution:
             if measure < 0:
                 raise ValueError(f"negative measure {measure}")
             raise ValueError(f"non-finite atom ({value}, {measure})")
-        values, measures = _canonical_rows(pairs[None, :, 0], pairs[:, 1])[0]
+        values, measures, _ = _canonical_rows(pairs[None, :, 0], pairs[:, 1])
         if not measures.max(initial=0.0) < math.inf:
             raise ValueError(f"merged measure at level value {values[measures.argmax()]} overflows")
         # tuple() of a list allocates the exact size; from an iterator it grows
@@ -261,11 +261,11 @@ _NORM_ELEMS = 2**13
 
 def _disjoint_sum_chunks(
     coeffs: np.ndarray, d: Distribution
-) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-    """Row i of coeffs (rows x copies) as the canonical (values, measures)
-    arrays of the distribution of sum_j coeffs[i, j] * x_j, the x_j disjointly
-    supported copies of a function with distribution d, yielded in chunks of
-    rows of at most about _NORM_ELEMS products.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Row i of coeffs (rows x copies) as the canonical atoms of the
+    distribution of sum_j coeffs[i, j] * x_j, the x_j disjointly supported
+    copies of a function with distribution d, yielded in chunks of rows of at
+    most about _NORM_ELEMS products, each chunk as _canonical_rows gives it.
 
     Every product is checked before the first chunk, so a non-finite one
     raises Distribution's ValueError before any chunk is used.
@@ -290,10 +290,11 @@ def _disjoint_sum_chunks(
 
 def _canonical_rows(
     values: np.ndarray, measures: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row i is the canonical atoms of zip(values[i], measures[i]) as
-    (values, measures) arrays, for finite non-negative values and measures;
-    measures is one row per value row, or one row shared by all.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical atoms of each row zip(values[i], measures[i]), for finite
+    non-negative values and measures, as flat (values, measures, offsets):
+    row i's are values and measures [offsets[i]:offsets[i + 1]].  measures is
+    one row per value row, or one row shared by all.
 
     The atoms of a row are sorted by decreasing value (stable), those with a
     zero value or measure dropped, and merged by one rule: a value joins the
@@ -310,12 +311,13 @@ def _canonical_rows(
     """
     n_rows, width = values.shape
     if not width:
-        return [(np.zeros(0), np.zeros(0))] * n_rows
-    values = np.where(measures > 0.0, values, 0.0)
+        return np.zeros(0), np.zeros(0), np.zeros(n_rows + 1, dtype=int)
+    if not measures.all():  # an atom of measure 0 reads value 0
+        values = np.where(measures > 0.0, values, 0.0)
     order = (-values).argsort(axis=1, kind="stable")
-    sel = (np.arange(n_rows)[:, None], order)
-    v = values[sel].ravel()
-    m = (measures[sel] if measures.ndim == 2 else measures[order]).ravel()
+    flat = (order + np.arange(0, values.size, width)[:, None]).ravel()
+    v = values.ravel()[flat]
+    m = measures.ravel()[flat] if measures.ndim == 2 else measures[order].ravel()
     live = v > 0.0
     head = live.copy()
     head[1:] &= v[:-1] - v[1:] > MERGE_REL_TOL * v[:-1]
@@ -334,12 +336,14 @@ def _canonical_rows(
         head[strays[np.r_[True, g[1:] != g[:-1]]]] = True
     sizes = np.bincount(group[live], minlength=heads.size)
     sums = m[heads]
-    for rank in range(1, int(sizes.max(initial=1))):
-        more = sizes > rank
-        sums[more] += m[heads[more] + rank]
-    head_v = v[heads]
-    bounds = heads.searchsorted(np.arange(n_rows + 1) * width).tolist()
-    return [(head_v[lo:hi], sums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    # Groups of several atoms, largest first: those with an atom at each rank are a prefix.
+    big = np.flatnonzero(sizes > 1)[np.argsort(-sizes[sizes > 1], kind="stable")]
+    firsts, ranked = heads[big], sums[big]
+    counts = np.searchsorted(-sizes[big], -np.arange(1, sizes.max(initial=1)))
+    for rank, n in enumerate(counts.tolist(), 1):
+        ranked[:n] += m[firsts[:n] + rank]
+    sums[big] = ranked
+    return v[heads], sums, heads.searchsorted(np.arange(n_rows + 1) * width)
 
 
 def dyadic_sample(d: Distribution) -> Distribution:

@@ -126,12 +126,11 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     coeffs = coeffs[(coeffs != 0.0).any(axis=1)]
     worst, start = 1.0, 0
     for rows in _disjoint_sum_chunks(coeffs, fam.base):
-        nums = _grouped_norms(fam.space, [(v, m, _UNSCALED) for v, m in rows])
+        nums = _grouped_norms(fam.space, [(*rows, _UNSCALED)])
         if not nums.all():
             raise NumericalError("the disjoint sum of a nonzero probe underflows to 0")
-        stop = start + len(rows)
-        ratio = nums / _lp_rows(np.abs(coeffs[start:stop]), fam.theta)
-        start = stop
+        ratio = nums / _lp_rows(np.abs(coeffs[start : start + nums.size]), fam.theta)
+        start += nums.size
         # fmax skips a NaN ratio (inf / inf), as max(worst, ratio) does.
         worst = float(np.fmax.reduce(np.fmax(ratio, 1.0 / ratio), initial=worst))
     return worst

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rispect import (
     Lorentz,
+    NumericalError,
     Orlicz,
     PiecewisePower,
     PurePower,
@@ -346,17 +347,36 @@ def test_solve_weighs_each_side_in_windows(monkeypatch, quarter_mirror):
 
 
 @pytest.mark.parametrize(
-    "tol, size, tail_bound",
+    "tol, size, tail_bound, weighed",
     # The bounds read 1.1641532177273487e190 and 5.271098966708839e118 while
     # the table's slope read 1 + 2.7e-15.
-    [(1e190, 33, 1.1641532177272826e190), (1e200 * 2.0**-270, 270, 5.2710989667062e118)],
+    [
+        (1e190, 33, 1.1641532177272826e190, [65, 65]),
+        (1e200 * 2.0**-270, 270, 5.2710989667062e118, [65, 65, 130, "260 failed"] + [1] * 40 + [65]),
+    ],
 )
-def test_solve_weighs_only_the_blocks_it_reaches(tol, size, tail_bound):
+def test_solve_weighs_only_the_blocks_it_reaches(monkeypatch, tol, size, tail_bound, weighed):
     """Block weights 1e200 * 2**k leave the floats from k = 359 on, past
     both walks: their coefficients are -4**-n, as when each term was weighed
     alone.  Weighing blocks -1000 .. 1000 at once raised, and so does the
-    window 261 .. 520 of the second walk, which then weighs block by block."""
+    window 261 .. 520 of the second walk, which then weighs block by block:
+    one failing `fundamentals` call, where retrying a window for each later
+    block made 40."""
+    calls = []
+
+    def counted(space, t):
+        try:
+            out = weigh(space, t)
+        except NumericalError:
+            calls.append(f"{len(t)} failed")
+            raise
+        calls.append(len(t))
+        return out
+
+    weigh = shifts.fundamentals
+    monkeypatch.setattr(shifts, "fundamentals", counted)
     space = Lorentz(1, TableFn(((1, 1e200), (2, 2e200))))
     sol = solve_shift_minus(Seq.unit(1), 4.0, tol, space)
     assert sol.seq.coeffs == {n: -(4.0**-n) for n in range(1, size + 1)}
     assert sol.tail_bound == tail_bound
+    assert calls == weighed

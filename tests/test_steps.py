@@ -25,7 +25,7 @@ from rispect import (
     rearrange,
 )
 from rispect.shifts import shift
-from rispect.steps import MERGE_REL_TOL, _disjoint_sum_chunks, floor_log2
+from rispect.steps import MERGE_REL_TOL, _canonical_rows, _disjoint_sum_chunks, floor_log2
 
 def _close(x: float, y: float) -> bool:
     return abs(x - y) <= MERGE_REL_TOL * max(abs(x), abs(y))
@@ -72,7 +72,7 @@ def reference_disjoint_sum(coeffs, d: Distribution) -> tuple[tuple[float, float]
 def disjoint_sum(coeffs, d: Distribution) -> Distribution:
     """Distribution of sum_k a_k * x_k, the x_k disjoint copies of d, from a
     one-row call of the witness row path."""
-    [(values, measures)] = next(_disjoint_sum_chunks(np.array([coeffs], dtype=float), d))
+    values, measures, _ = next(_disjoint_sum_chunks(np.array([coeffs], dtype=float), d))
     return Distribution(np.column_stack((values, measures)))
 
 
@@ -216,6 +216,35 @@ def test_distribution_canonical_invariants(pairs):
     assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
     assert all(m > 0 for _, m in d.atoms)
     assert d.total_measure == pytest.approx(sum(m for _, m in pairs), rel=1e-12)
+
+
+def test_canonical_rows_sum_each_group_left_to_right():
+    """One call on rows of different atom counts, with merged groups of 1 to
+    250 atoms (equal values, or values within MERGE_REL_TOL of the group's
+    first) in order or shuffled, gives reference_atoms row by row, bit for
+    bit.  Row 0 leads with a group of measures 1.0 and then 300 times
+    2**-53: summed left to right that is exactly 1.0, where a pairwise sum
+    or np.add.reduceat reads more."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for r in range(4):
+        pairs = [(4.0, 1.0)] + [(4.0, 2.0**-53)] * 300 if r == 0 else []
+        for g, size in enumerate(rng.integers(1, 251, size=10 + r).tolist() + [1, 250]):
+            top = 2.0**-g * (1 + r)
+            values = [top] * size if g % 2 else [top * (1.0 - j * 2e-15) for j in range(size)]
+            pairs += zip(values, rng.uniform(0.5, 2.0, size).tolist())
+        if r > 1:
+            rng.shuffle(pairs)
+        rows.append(pairs)
+    values, measures = np.zeros((2, len(rows), max(map(len, rows))))
+    for i, pairs in enumerate(rows):
+        values[i, : len(pairs)], measures[i, : len(pairs)] = zip(*pairs)
+    flat_values, flat_measures, offsets = _canonical_rows(values, measures)
+    assert offsets.size == len(rows) + 1
+    for pairs, lo, hi in zip(rows, offsets[:-1].tolist(), offsets[1:].tolist()):
+        got = list(zip(flat_values[lo:hi].tolist(), flat_measures[lo:hi].tolist()))
+        assert got == list(reference_atoms(pairs))
+    assert (flat_values[0], flat_measures[0]) == (4.0, 1.0)
 
 
 # --- rearrange ----------------------------------------------------------

@@ -229,8 +229,13 @@ def probe_rows(draw, n_copies: int) -> list[list[float]]:
 
 
 def row_path(coeffs, base: Distribution) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row's (values, measures), split off the chunks' flat atoms."""
     arr = np.array(coeffs, dtype=float)
-    return [row for rows in _disjoint_sum_chunks(arr, base) for row in rows]
+    return [
+        (values[lo:hi], measures[lo:hi])
+        for values, measures, offsets in _disjoint_sum_chunks(arr, base)
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    ]
 
 
 def row_norms(space, coeffs, base: Distribution) -> list[float]:
@@ -238,7 +243,7 @@ def row_norms(space, coeffs, base: Distribution) -> list[float]:
     return [
         n
         for rows in _disjoint_sum_chunks(arr, base)
-        for n in _grouped_norms(space, [(v, m, np.ones(1)) for v, m in rows]).tolist()
+        for n in _grouped_norms(space, [(*rows, np.ones(1))]).tolist()
     ]
 
 
