@@ -20,7 +20,7 @@ import numpy as np
 from .indices import IndexSet, WeightSeq
 from .shifts import shift_minus
 from .spaces import _UNSCALED, NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
-from .steps import Seq, _canonical_rows
+from .steps import Seq, _canonical_rows, _seeded_generators
 
 __all__ = [
     "ThetaInterval",
@@ -164,6 +164,12 @@ class ProbeConfig:
     n_random: int = 200
     seed: int = 0x5EED
 
+    def __post_init__(self) -> None:
+        if self.k_lo > self.k_hi:
+            raise ValueError(f"k_hi must be >= k_lo, got k_lo={self.k_lo}, k_hi={self.k_hi}")
+        if self.n_random < 0:
+            raise ValueError(f"n_random must be >= 0, got {self.n_random}")
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -289,10 +295,7 @@ def _random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[np.ndarray, np.nda
     holds probe i's coefficients on blocks starts[i], starts[i] + 1, ...,
     padded with zeros to RANDOM_MAX_LEN + 1."""
     starts, rows = [], np.zeros((cfg.n_random, RANDOM_MAX_LEN + 1))
-    for i in range(cfg.n_random):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((cfg.seed, lam_index, i)))
-        )
+    for rng in _seeded_generators((cfg.seed, lam_index), cfg.n_random):
         # A draw longer than the k range is cut to it; shorter draws are
         # unchanged, so every suite that ran before keeps its probes.
         length = min(int(rng.integers(1, RANDOM_MAX_LEN + 1)), cfg.k_hi - cfg.k_lo + 1)

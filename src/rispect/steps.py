@@ -369,3 +369,42 @@ def dyadic_sample(d: Distribution) -> Distribution:
         i = bisect.bisect_right(ends, t)
         atoms.append((profile[i][0], t))
     return Distribution(tuple(atoms))
+
+
+def _seeded_generators(prefix: tuple, n: int) -> list:
+    """[Generator(PCG64(SeedSequence((*prefix, i)))) for i in range(n)], bit for
+    bit and with its errors: SeedSequence's hash runs once over the array of all i,
+    as its constants do not depend on the entropy.  numpy.random loads here."""
+    if n <= 0:
+        return []
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):  # one state row, as PCG64 reads it by generate_state(4, np.uint64)
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    words = []  # the uint32 words of each prefix entry, low first, then i and zeros
+    for p in prefix:
+        if not isinstance(p, (int, np.integer)) or p < 0:
+            SeedSequence((p,))  # raises SeedSequence's error for the entry
+            raise TypeError(f"integer seed entries required, got {p!r}")
+        words += [int(p) >> s & 0xFFFFFFFF for s in range(0, int(p).bit_length() or 1, 32)]
+    words = [np.full(n, w, np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    words += [np.zeros(n, np.uint32)] * (4 - len(words))
+    a, b = [0x43B0D7E5, 0x931E8875], [0x8B51F9DD, 0x58F38DED]  # hash constants, multipliers
+
+    def hashmix(value: np.ndarray, c: list) -> np.ndarray:
+        value, c[0] = value ^ c[0], c[0] * c[1] & 0xFFFFFFFF
+        value = value * c[0]
+        return value ^ value >> 16
+
+    pool = [hashmix(w, a) for w in words[:4]] + words[4:]  # four, then the words left to mix in
+    for src, dst in [(s, d) for s in range(len(pool)) for d in range(4) if s != d]:
+        r = pool[dst] * 0xCA01F9DD - hashmix(pool[src], a) * 0x4973F715
+        pool[dst] = r ^ r >> 16
+    state = np.stack([hashmix(pool[j % 4], b) for j in range(8)], axis=1)
+    return [Generator(PCG64(Seeded(s))) for s in state.astype("<u4").view("<u8").astype(np.uint64)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .shifts import geometric_window
 from .spaces import _UNSCALED, NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
-from .steps import Distribution, _disjoint_sum_chunks
+from .steps import Distribution, _disjoint_sum_chunks, _seeded_generators
 
 __all__ = [
     "WitnessFamily",
@@ -103,12 +103,8 @@ def standard_probes(
     probes.append([1.0] * n_copies)
     probes.append([(-1.0) ** j for j in range(n_copies)])
     probes.append([2.0 ** (-j * theta) for j in range(n_copies)])
-    for i in range(n_random):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, 7777, i)))
-        )
-        probes.append(rng.standard_normal(n_copies).tolist())
-    return probes
+    randoms = _seeded_generators((seed, 7777), n_random)
+    return probes + [rng.standard_normal(n_copies).tolist() for rng in randoms]
 
 
 def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> float:

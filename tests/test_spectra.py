@@ -199,6 +199,18 @@ def test_residual_meta_records_argmin(l1):
 # --- probe suite --------------------------------------------------------------------
 
 
+def test_probe_config_rejects_an_empty_k_range():
+    with pytest.raises(ValueError, match=r"^k_hi must be >= k_lo, got k_lo=5, k_hi=0$"):
+        ProbeConfig(k_lo=5, k_hi=0)
+    assert ProbeConfig(k_lo=5, k_hi=5).k_hi == 5
+
+
+def test_probe_config_rejects_a_negative_n_random():
+    with pytest.raises(ValueError, match=r"^n_random must be >= 0, got -2$"):
+        ProbeConfig(n_random=-2)
+    assert ProbeConfig(n_random=0).n_random == 0
+
+
 def test_probe_lower_bound_outside_spectrum(quarter):
     """Far from the spectrum every probe obeys the reverse triangle bound."""
     lam = 2.0**0.95
