@@ -232,45 +232,26 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit_json(obj, pieces: list[str]) -> None:
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        pieces.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)) and all(type(item) is float for item in obj):
-        pieces.append("[" + ",".join(map(_fmt_float, obj)) + "]")
-    elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                pieces.append(",")
-            _emit_json(item, pieces)
-        pieces.append("]")
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                pieces.append(",")
-            pieces.append(json.dumps(str(key)))
-            pieces.append(":")
-            _emit_json(val, pieces)
-        pieces.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _json_text(obj) -> str:
+    """obj as JSON text, one join per list or dict level.  Recursive, so kept
+    private: a wrapper of the public to_json_text sees one call per document."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, (list, tuple)):  # plain floats skip the per-item dispatch
+        fmt = _fmt_float if all(type(x) is float for x in obj) else _json_text
+        return "[" + ",".join(map(fmt, obj)) + "]"
+    if isinstance(obj, dict):
+        items = [json.dumps(str(k)) + ":" + _json_text(v) for k, v in obj.items()]
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def to_json_text(obj) -> str:
-    pieces: list[str] = []
-    _emit_json(obj, pieces)
-    return "".join(pieces)
+    return _json_text(obj)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

@@ -16,7 +16,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .spaces import Lorentz, Orlicz, SpaceSpec, fundamentals
+from .spaces import Lorentz, NumericalError, Orlicz, SpaceSpec, fundamentals
 
 __all__ = [
     "WeightSeq",
@@ -74,10 +74,17 @@ class WeightSeq:
 
 
 def block_weights(space: SpaceSpec, k_min: int, k_max: int) -> WeightSeq:
-    """Weights s_k = fundamental(space, 2**k) on the index window."""
+    """Weights s_k = fundamental(space, 2**k) on the index window; computed
+    weights that break s_k <= s_{k+1} <= 2 s_k are a NumericalError."""
     if abs(k_min) > 1000 or abs(k_max) > 1000:
         raise ValueError("index window outside the exact block-measure range")
-    return WeightSeq(k_min, k_max, fundamentals(space, np.ldexp(1.0, np.arange(k_min, k_max + 1))))
+    s = fundamentals(space, np.ldexp(1.0, np.arange(k_min, k_max + 1)))
+    try:
+        return WeightSeq(k_min, k_max, s)
+    except ValueError as exc:
+        if k_max <= k_min:  # the window, not the weights
+            raise
+        raise NumericalError(f"block weights on [{k_min}, {k_max}] break a bound: {exc}") from exc
 
 
 # name -> (region, direction, sign), in IndexSet field order; the index
@@ -129,10 +136,6 @@ class IndexSet:
         return {name: getattr(self, name) for name in _EXPONENTS}
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
     """Fekete estimates of all six indices at window size n_max.
 
@@ -167,7 +170,7 @@ def estimate_indices(w: WeightSeq, n_max: int) -> IndexSet:
         for name, (region, direction, sign) in _EXPONENTS.items()
     }
 
-    estimates = {name: _clamp01(series[-1]) for name, series in per_n.items()}
+    estimates = {name: min(1.0, max(0.0, series[-1])) for name, series in per_n.items()}
     half = max(1, n_max // 2)
     est_error = max(
         abs(series[-1] - series[half - 1]) for series in per_n.values()

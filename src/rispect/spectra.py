@@ -93,14 +93,11 @@ def approx_eigenvalue_set(ix: IndexSet) -> SpectrumReport:
     err = float(ix.meta.get("est_error", 0.0)) if ix.meta else 0.0
     split_uncertain = abs(ix.alpha_inf - ix.beta0) < 2.0 * err
     if ix.alpha_inf <= ix.beta0:
-        intervals = (ThetaInterval(ix.alpha, ix.beta),)
-        case_tag = "i"
+        case_tag, ends = "i", [(ix.alpha, ix.beta)]
     else:
-        intervals = (
-            ThetaInterval(ix.alpha, ix.beta0),
-            ThetaInterval(ix.alpha_inf, ix.beta),
-        )
-        case_tag = "ii"
+        case_tag, ends = "ii", [(ix.alpha, ix.beta0), (ix.alpha_inf, ix.beta)]
+    # Ends that cross by rounding, as IndexSet allows, meet at the upper one.
+    intervals = tuple(ThetaInterval(min(lo, hi), hi) for lo, hi in ends)
     return SpectrumReport(intervals, case_tag, ix, split_uncertain=split_uncertain)
 
 
@@ -389,41 +386,27 @@ def _probe_bounds(space: SpaceSpec, grid: list, cfg: ProbeConfig, ix: Optional[I
 def _probe_result(lam: float, rates: list, ns: list, ks: range, norms: np.ndarray) -> ProbeResult:
     """probe_lower_bound's result from the norms of its requests in order:
     the unit vector and its image at every k, the windows of every rate, the
-    random probes and then their images."""
+    random probes and then their images.  Scored in that order, each rate's
+    windows n by n, the first strict minimum of the finite ratios wins."""
     splits = [len(ks), 2 * len(ks), (2 + 5 * len(ns) * len(rates)) * len(ks)]
-    units, images, scans, probes = np.split(norms, splits)
-    best = math.inf
-    best_probe = None
-
-    with np.errstate(invalid="ignore"):
-        units = _never_wins(images / units)
-    i = int(np.argmin(units))
-    if units[i] < best:
-        best, best_probe = float(units[i]), ("unit", ks[i])
-
-    per_n_best: dict[int, float] = {}
-    for rate, rate_norms in zip(rates, np.split(scans, len(rates))):
-        scan = _window_scan(rate_norms, ns, ks)
-        if rate == lam:
-            curve = _curve(lam, ks, scan)
-        for n, r, k, kind in scan:
-            per_n_best[n] = min(per_n_best.get(n, math.inf), r)
-            if r < best:
-                best, best_probe = r, (kind, rate, k, n)
-
+    units, images, windows, probes = np.split(norms, splits)
     probe_norms, image_norms = probes.reshape(2, -1)
     with np.errstate(invalid="ignore"):
+        unit_ratios = (images / units).tolist()
         ratios = (image_norms / probe_norms).tolist()
-    for i, r in enumerate(ratios):
-        if r < best:
-            best, best_probe = r, ("random", i)
-
+    scans = [_window_scan(w, ns, ks) for w in np.split(windows, len(rates))]
+    candidates = [(r, ("unit", k)) for k, r in zip(ks, unit_ratios)]
+    for rate, scan in zip(rates, scans):
+        candidates += [(r, (kind, rate, k, n)) for n, r, k, kind in scan]
+    candidates += [(r, ("random", i)) for i, r in enumerate(ratios)]
+    finite = [c for c in candidates if c[0] < math.inf]
+    best, best_probe = min(finite, key=lambda c: c[0], default=(math.inf, None))
     return ProbeResult(
         lam,
         math.log2(lam),
         best,
-        tuple(sorted(per_n_best.items())),
-        meta={"best_probe": best_probe, "residual_curve": curve},
+        tuple((n, min(scan[j][1] for scan in scans)) for j, n in enumerate(ns)),
+        meta={"best_probe": best_probe, "residual_curve": _curve(lam, ks, scans[rates.index(lam)])},
     )
 
 

@@ -60,9 +60,14 @@ from rispect.spaces import (
 )
 from rispect.spectra import (
     ProbeConfig,
+    ProbeResult,
+    _curve,
+    _never_wins,
     _probe_requests,
+    _probe_result,
     _random_probes,
     _scan_requests,
+    _window_scan,
     probe_lower_bound,
     probe_lower_bounds,
 )
@@ -589,6 +594,70 @@ def test_probe_lower_bounds_equal_one_lambda_at_a_time(grid, n_values, n_random,
     assert [probe_bits(r) for r in probe_lower_bounds(space, lams, cfg, ix)] == [
         probe_bits(r) for r in want
     ]
+
+
+def reference_probe_result(lam, rates, ns, ks, norms) -> ProbeResult:
+    """_probe_result as three update passes, unit vector, windows and random
+    probes, each taking a candidate only when strictly below the best so far:
+    the form it had before one ordered minimum."""
+    splits = [len(ks), 2 * len(ks), (2 + 5 * len(ns) * len(rates)) * len(ks)]
+    units, images, scans, probes = np.split(norms, splits)
+    best = math.inf
+    best_probe = None
+
+    with np.errstate(invalid="ignore"):
+        units = _never_wins(images / units)
+    i = int(np.argmin(units))
+    if units[i] < best:
+        best, best_probe = float(units[i]), ("unit", ks[i])
+
+    per_n_best: dict[int, float] = {}
+    for rate, rate_norms in zip(rates, np.split(scans, len(rates))):
+        scan = _window_scan(rate_norms, ns, ks)
+        if rate == lam:
+            curve = _curve(lam, ks, scan)
+        for n, r, k, kind in scan:
+            per_n_best[n] = min(per_n_best.get(n, math.inf), r)
+            if r < best:
+                best, best_probe = r, (kind, rate, k, n)
+
+    probe_norms, image_norms = probes.reshape(2, -1)
+    with np.errstate(invalid="ignore"):
+        ratios = (image_norms / probe_norms).tolist()
+    for i, r in enumerate(ratios):
+        if r < best:
+            best, best_probe = r, ("random", i)
+
+    return ProbeResult(
+        lam,
+        math.log2(lam),
+        best,
+        tuple(sorted(per_n_best.items())),
+        meta={"best_probe": best_probe, "residual_curve": curve},
+    )
+
+
+@st.composite
+def scored_norms(draw) -> tuple:
+    """A suite's shape and the norms of its requests, each drawn from a few
+    values with inf and NaN among them, so that ties between unit, window and
+    random candidates are common and some ratios are inf/inf or inf/x."""
+    rates = sorted(draw(st.sets(st.sampled_from([0.75, 1.3, 2.0]), min_size=1, max_size=3)))
+    lam = draw(st.sampled_from(rates))
+    ns = sorted(draw(st.sets(st.integers(1, 64), max_size=3)))
+    k_lo = draw(st.integers(-8, 8))
+    ks = range(k_lo, k_lo + draw(st.integers(1, 5)))
+    size = (2 + 5 * len(ns) * len(rates)) * len(ks) + 2 * draw(st.integers(0, 4))
+    norm = st.sampled_from([0.5, 1.0, 2.0, math.inf, math.nan])
+    return lam, rates, ns, ks, np.array(draw(st.lists(norm, min_size=size, max_size=size)))
+
+
+@settings(max_examples=300)
+@given(suite=scored_norms())
+def test_probe_result_takes_the_first_strict_minimum_of_the_finite_ratios(suite):
+    """The ordered minimum scores as the three update passes did: min_ratio,
+    residuals, best probe and rate-lam curve, to the repr of every float."""
+    assert probe_bits(_probe_result(*suite)) == probe_bits(reference_probe_result(*suite))
 
 
 # --- block weights: the array fundamental against the scalar loop ----------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rispect import (
@@ -607,6 +607,9 @@ FUZZ_SPACES = [
     {"type": "orlicz", "N": {"kind": "piecewise_power", "a0": 1.5, "a_inf": 3}},
     {"type": "lorentz", "q": 1000, "psi": {"kind": "pure_power", "a": 0.5}},
 ]
+# The capped N inverse stops short for roots below about 2**-200, and the
+# weights of this N jump by 2.33 at k = 226 of k_radius 244.
+POWER_LOG_JUMP = {"type": "orlicz", "N": {"kind": "power_log", "a": 1.1391730631176669, "c": 1}}
 
 
 @pytest.mark.parametrize(
@@ -666,6 +669,108 @@ def test_exit_code_contract(
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--config", cfgpath])
     assert code in (0, 2, 3)
+
+
+NEAR_FLAT = {
+    "type": "lorentz",
+    "q": 64065.69163526181,
+    "psi": {
+        "kind": "table",
+        "points": [
+            [2.0**-34, 1.0],
+            [2.0**-10, 56906.875527381395],
+            [2.0**16, 453124775.02768135],
+            [2.0**39, 460406554.9563651],
+        ],
+    },
+}
+
+
+def exponent(role: str):
+    """A log-log slope at and inside the role's limit: (0, 1] for psi and
+    [1, 16] for N, where 16 keeps N(2**60) of the role grid a float."""
+    if role == "psi":
+        return st.one_of(st.just(1.0), st.floats(1e-3, 1.0))
+    return st.one_of(st.just(1.0), st.floats(1.0, 16.0))
+
+
+@st.composite
+def fn_jsons(draw, role: str) -> dict:
+    """A function of every kind; a table through 2 to 4 points, its value at
+    the first scaled by 1e-150 to 1e150."""
+    kind = draw(st.sampled_from(["pure_power", "piecewise_power", "power_log", "table"]))
+    if kind == "pure_power":
+        return {"kind": kind, "a": draw(exponent(role))}
+    if kind == "piecewise_power":
+        return {"kind": kind, "a0": draw(exponent(role)), "a_inf": draw(exponent(role))}
+    if kind == "power_log":
+        return {"kind": kind, "a": draw(exponent(role)), "c": draw(st.floats(-4.0, 4.0))}
+    xs = sorted(draw(st.sets(st.integers(-40, 40), min_size=2, max_size=4)))
+    slopes = draw(st.lists(exponent(role), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    if role == "N":
+        slopes.sort()  # convex: N's slopes do not drop at a knot
+    log2_v = [draw(st.floats(-150.0, 150.0)) * math.log2(10.0)]
+    for x0, x1, slope in zip(xs, xs[1:], slopes):
+        log2_v.append(log2_v[-1] + (x1 - x0) * slope)
+    values = [2.0**lv if lv < 1024 else math.inf for lv in log2_v]
+    return {"kind": kind, "points": [[2.0**x, v] for x, v in zip(xs, values)]}
+
+
+@st.composite
+def run_configs(draw) -> dict:
+    if draw(st.booleans()):
+        q = 10.0 ** draw(st.floats(0.0, 6.0))
+        space = {"type": "lorentz", "q": q, "psi": draw(fn_jsons("psi"))}
+    else:
+        space = {"type": "orlicz", "N": draw(fn_jsons("N"))}
+    n_max = draw(st.integers(1, 250))
+    k_radius = draw(st.integers(4 * n_max, 1000))
+    rate = st.one_of(
+        st.floats(-300.0, 300.0).map(lambda x: 10.0**x), st.floats(0.0, 1.0).map(lambda x: 2.0**x)
+    )
+    return {
+        "space": space,
+        "k_radius": k_radius,
+        "n_max": n_max,
+        "lambda_grid": draw(st.lists(rate, min_size=1, max_size=3)),
+        "n_list": draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)),
+        "probe_k_radius": min(k_radius, draw(st.integers(1, 16))),
+        "n_random": draw(st.integers(0, 8)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "witness": {
+            "theta": draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+            "n_copies": draw(st.integers(1, 8)),
+            "windows": draw(st.lists(st.integers(1, 16), min_size=1, max_size=2)),
+            "k": draw(st.one_of(st.none(), st.integers(-1000, 980))),
+            "n_random": draw(st.integers(0, 8)),
+        },
+    }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cfg=run_configs())
+@example(
+    cfg={
+        "space": POWER_LOG_JUMP,
+        "k_radius": 244,
+        "n_max": 16,
+        "lambda_grid": [1.3],
+        "witness": {"theta": 0.5},
+    }
+)
+# Index estimates with alpha0 2.2e-17 above beta0 (tests/test_spectra.py).
+@example(cfg={"space": NEAR_FLAT, "k_radius": 4, "n_max": 1, "lambda_grid": [1.0], "probe_k_radius": 1})
+def test_exit_code_contract_on_generated_configs(cfg, tmp_path_factory):
+    """Every command on a generated config exits 0 with nothing on stderr, or
+    2 or 3 with nothing on stdout; a numpy warning is an error here."""
+    path = tmp_path_factory.mktemp("contract") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in cli._COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        assert code in (0, 2, 3), command
+        assert (err.getvalue() if code == 0 else out.getvalue()) == "", command
 
 
 def test_probe_random_probes_fit_a_short_k_range(capsys, tmp_path):
@@ -764,6 +869,20 @@ def test_block_weight_outside_the_floats_is_numerical_failure(command, space, k,
     assert (code, out) == (3, "")
     assert err == (
         f"numerical failure: fundamental function leaves the float range at t={2.0**k}\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["indices", "spectrum", "probe", "report"])
+def test_block_weights_that_break_a_bound_are_numerical_failure(command, capsys, tmp_path):
+    """Weights that jump by more than 2 per block: WeightSeq refused them
+    with a traceback."""
+    cfgpath = write_config(tmp_path, space=POWER_LOG_JUMP, k_radius=244, n_max=16)
+    code, out, err = run(capsys, command, "--config", cfgpath)
+    assert (code, out) == (3, "")
+    assert err == (
+        "numerical failure: block weights on [-244, 244] break a bound: "
+        "weights must satisfy s_{k+1} <= 2 s_k\n"
     )
 
 

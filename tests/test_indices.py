@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rispect import (
     IndexSet,
     Lorentz,
+    NumericalError,
     Orlicz,
     PiecewisePower,
     PowerLog,
@@ -95,6 +96,22 @@ def test_weight_seq_validation():
         WeightSeq(0, 2, np.array([1.0, 0.9, 2.0]))  # decreasing
     with pytest.raises(ValueError):
         WeightSeq(0, 2, np.array([1.0, 1.0, 2.5]))  # jumps by more than 2
+
+
+def test_block_weights_that_break_a_bound_are_numerical_failure():
+    """The capped N inverse bisection stops short for roots below about
+    2**-200: on power_log(1.139..., 1) s_227 / s_226 reads 2.33, which no
+    fundamental function allows.  A window with k_max <= k_min is still the
+    caller's ValueError."""
+    space = Orlicz(PowerLog(1.1391730631176669, 1.0))
+    with pytest.raises(NumericalError) as exc:
+        block_weights(space, -244, 244)
+    assert str(exc.value) == (
+        "block weights on [-244, 244] break a bound: weights must satisfy s_{k+1} <= 2 s_k"
+    )
+    assert isinstance(exc.value.__cause__, ValueError)
+    with pytest.raises(ValueError, match=r"^need k_min < k_max, got \[3, 3\]$"):
+        block_weights(space, 3, 3)
 
 
 # --- ratio suprema ----------------------------------------------------------------

@@ -81,6 +81,17 @@ def test_eigen_set_single_interval_when_regions_overlap():
     assert intervals(rep) == [(0.25, 0.75)]
 
 
+def test_eigen_set_ends_that_cross_by_rounding_meet_at_the_upper_one():
+    """The estimates of Lorentz q = 64065.69 over a nearly flat table psi at
+    k_radius 4, n_max 1: s_k / s_{k+1} is not the float reciprocal of
+    s_{k+1} / s_k, so alpha0 reads 2.2e-17 above beta0, and ThetaInterval
+    refused [alpha, beta0] with a traceback."""
+    lo, hi, beta0 = 7.779885741465973e-06, 7.779885741764201e-06, 7.77988574144386e-06
+    rep = approx_eigenvalue_set(IndexSet(lo, hi, lo, beta0, lo, hi))
+    assert rep.case_tag == "ii"
+    assert intervals(rep) == [(beta0, beta0), (lo, hi)]
+
+
 def test_eigen_set_split_uncertainty_tracks_estimate_error(quarter):
     w = block_weights(quarter, -256, 256)
     from rispect import estimate_indices
