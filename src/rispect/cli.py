@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .indices import IndexSet, analytic_indices, block_weights, estimate_indices
@@ -46,6 +46,15 @@ RESIDUAL_CSV_HEADER = "lambda,theta,n,residual,argmin_k"
 
 class ConfigError(ValueError):
     """Bad run configuration; message names the offending field."""
+
+
+# Probe counts are refused above these bounds before anything is allocated.
+# A random probe of a suite holds about 3 KB while its rate is scanned, so
+# 10,000 take about 30 MB.  A witness holds its (n_copies + 3 + n_random) x
+# n_copies coefficients as Python floats and then as an array, about 40 bytes
+# each: at most 2.6 million, about 130 MB, at both bounds.
+MAX_RANDOM = 10_000
+MAX_COPIES = 256
 
 
 @dataclass(frozen=True)
@@ -93,8 +102,8 @@ class RunConfig:
                     f"n_list entry {n} needs probe_k_radius + 2*n + 2 <= 1000 "
                     "to stay in the exact block range"
                 )
-        if self.n_random < 0:
-            raise ConfigError(f"n_random must be >= 0, got {self.n_random}")
+        if not 0 <= self.n_random <= MAX_RANDOM:
+            raise ConfigError(f"n_random must lie in [0, {MAX_RANDOM}], got {self.n_random}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit an unsigned 64-bit integer")
 
@@ -170,11 +179,11 @@ def _parse_witness(obj) -> WitnessConfig:
                 f"witness window {n} at k={start} leaves the exact block range [-1000, 1000]"
             )
     n_copies = _opt_int(obj, "n_copies", WitnessConfig)
-    if n_copies < 1:
-        raise ConfigError(f"witness n_copies must be >= 1, got {n_copies}")
+    if not 1 <= n_copies <= MAX_COPIES:
+        raise ConfigError(f"witness n_copies must lie in [1, {MAX_COPIES}], got {n_copies}")
     n_random = _opt_int(obj, "n_random", WitnessConfig)
-    if n_random < 0:
-        raise ConfigError(f"witness n_random must be >= 0, got {n_random}")
+    if not 0 <= n_random <= MAX_RANDOM:
+        raise ConfigError(f"witness n_random must lie in [0, {MAX_RANDOM}], got {n_random}")
     return WitnessConfig(theta=theta, n_copies=n_copies, windows=windows, k=k, n_random=n_random)
 
 
@@ -274,10 +283,11 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def _config_echo(cfg: RunConfig) -> dict:
     """The run configuration, keyed and ordered by the RunConfig and
     WitnessConfig fields."""
-    echo = asdict(cfg)
-    echo["space"] = space_to_json(cfg.space)
+    echo = {**vars(cfg), "space": space_to_json(cfg.space)}
     if cfg.witness is None:
         del echo["witness"]
+    else:
+        echo["witness"] = dict(vars(cfg.witness))
     return echo
 
 

@@ -107,6 +107,21 @@ def standard_probes(
     return probes + [rng.standard_normal(n_copies).tolist() for rng in randoms]
 
 
+def _class_heads(coeffs: np.ndarray) -> np.ndarray:
+    """Mask of the rows of coeffs (nonzero rows x copies) that are the first,
+    in order, of their class: the rows with exactly one nonzero entry make a
+    class per magnitude of that entry, the rows whose entries all have one
+    magnitude make a class per magnitude, and every other row is its own."""
+    a = np.abs(coeffs)
+    top = a.max(axis=1)
+    single = np.count_nonzero(a, axis=1) == 1
+    heads = ~single & (a.min(axis=1) != top)
+    for kind in (single, ~single & ~heads):
+        rows = np.flatnonzero(kind)
+        heads[rows[np.unique(top[rows], return_index=True)[1]]] = True
+    return heads
+
+
 def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> float:
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
@@ -114,12 +129,24 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     the nonzero probes are built as array rows a chunk at a time; each chunk
     is normed through the row kernels and its p-norms taken as rows, so
     memory does not grow with the number of probes.
+
+    Only the first row of each class of _class_heads is normed, and its ratio
+    stands for the class, bit for bit.  Rows of one magnitude m have the same
+    |a_j|, hence the same products and p-norm.  A row whose one nonzero entry
+    has magnitude m at copy j has the products m * v_i there and zeros
+    elsewhere: the stable sort by decreasing value keeps the products in the
+    base's order at every j, and each carries the base measure m_i, so the
+    canonical atoms do not depend on j; its p-norm is m * 1**(1/p).  Rows
+    equal up to a permutation of unequal magnitudes are not classed: their
+    products may tie across copies, and the measures of a merged group are
+    summed in position order, and float addition is not associative.
     """
     for a in probe_coeffs:
         if len(a) != fam.n_copies:
             raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
     coeffs = np.array(probe_coeffs, dtype=float).reshape(len(probe_coeffs), fam.n_copies)
     coeffs = coeffs[(coeffs != 0.0).any(axis=1)]
+    coeffs = coeffs[_class_heads(coeffs)]
     worst, start = 1.0, 0
     for rows in _disjoint_sum_chunks(coeffs, fam.base):
         nums = _grouped_norms(fam.space, [(*rows, _UNSCALED)])

@@ -11,7 +11,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,47 @@ def test_witness_block_range_bound_is_exact(capsys, tmp_path):
     code, _, err = run(capsys, "witness", "--config", write_config(tmp_path, witness=witness))
     assert code == 2
     assert "witness window" in err
+
+
+COUNT_FIELDS = ["n_random", "witness.n_random", "witness.n_copies"]
+
+
+def count_config(tmp_path, field: str, value: int) -> str:
+    """A witness config with the probe count field set to value."""
+    witness = {"theta": 0.5, "windows": [4]}
+    if field == "n_random":
+        return write_config(tmp_path, n_random=value, witness=witness)
+    return write_config(tmp_path, witness={**witness, field.split(".")[1]: value})
+
+
+@pytest.mark.parametrize("count", [99999999999999999999999, 4000000000, 400000])
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_huge_probe_count_is_config_error_before_allocation(capsys, tmp_path, field, count):
+    """A probe count past its bound is refused while the config is read, by
+    the command that would draw the probes: exit 2, one config error line,
+    and nothing large allocated."""
+    command = "probe" if field == "n_random" else "witness"
+    cfgpath = count_config(tmp_path, field, count)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, "--config", cfgpath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"config error: {field.replace('.', ' ')} must lie in")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_probe_count_bounds_are_exact(tmp_path, field):
+    """Each bound is accepted, and one more is a ConfigError."""
+    bound = cli.MAX_COPIES if field == "witness.n_copies" else cli.MAX_RANDOM
+    args = cli._build_parser().parse_args(["indices", "--config", "unused"])
+    cli.load_config(count_config(tmp_path, field, bound), args)
+    with pytest.raises(cli.ConfigError, match="must lie in"):
+        cli.load_config(count_config(tmp_path, field, bound + 1), args)
 
 
 def test_orlicz_residuals_at_far_blocks(capsys, tmp_path):
@@ -592,6 +634,23 @@ def test_golden_witness(capsys, datadir):
     assert approx_equal_json(json.loads(out), want)
 
 
+def test_config_echo_equals_the_asdict_echo(datadir):
+    """The echo built from the field values is the deep-copy echo, keys in
+    order and values, on every recorded config."""
+    args = cli._build_parser().parse_args(["indices", "--config", "unused"])
+    paths = sorted(datadir.glob("config_*.json"))
+    assert len(paths) >= 10
+    for path in paths:
+        cfg = cli.load_config(str(path), args)
+        want = asdict(cfg)
+        want["space"] = spaces.space_to_json(cfg.space)
+        if cfg.witness is None:
+            del want["witness"]
+        got = cli._config_echo(cfg)
+        assert json.dumps(got) == json.dumps(want)
+        assert got == want
+
+
 def test_seed_must_fit_64_bits(capsys, tmp_path):
     code, _, err = run(capsys, "indices", "--config", write_config(tmp_path, seed=2**64))
     assert code == 2
@@ -747,8 +806,17 @@ def run_configs(draw) -> dict:
     }
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(cfg=run_configs())
+# In a third of the configs, one probe count, window or window start past
+# every bound.
+HUGE_FIELDS = ["n_random", "witness.n_random", "witness.n_copies", "witness.windows", "witness.k"]
+huge_fields = st.tuples(
+    st.sampled_from([None] * 10 + HUGE_FIELDS),
+    st.one_of(st.integers(2**31, 10**30), st.integers(-(10**30), -(2**31))),
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cfg=run_configs(), huge=huge_fields)
 @example(
     cfg={
         "space": POWER_LOG_JUMP,
@@ -756,21 +824,46 @@ def run_configs(draw) -> dict:
         "n_max": 16,
         "lambda_grid": [1.3],
         "witness": {"theta": 0.5},
-    }
+    },
+    huge=(None, 0),
 )
 # Index estimates with alpha0 2.2e-17 above beta0 (tests/test_spectra.py).
-@example(cfg={"space": NEAR_FLAT, "k_radius": 4, "n_max": 1, "lambda_grid": [1.0], "probe_k_radius": 1})
-def test_exit_code_contract_on_generated_configs(cfg, tmp_path_factory):
+@example(
+    cfg={"space": NEAR_FLAT, "k_radius": 4, "n_max": 1, "lambda_grid": [1.0], "probe_k_radius": 1},
+    huge=(None, 0),
+)
+def test_exit_code_contract_on_generated_configs(cfg, huge, tmp_path_factory):
     """Every command on a generated config exits 0 with nothing on stderr, or
-    2 or 3 with nothing on stdout; a numpy warning is an error here."""
+    2 or 3 with nothing on stdout; a numpy warning is an error here.  A huge
+    field is a config error for every command, before anything large is
+    allocated."""
+    field, value = huge
+    if field is not None:
+        if field.startswith("witness."):
+            w, name = cfg["witness"], field.split(".")[1]
+            w[name] = [*w["windows"], value] if name == "windows" else value
+        else:
+            cfg[field] = value
+        tracemalloc.start()
     path = tmp_path_factory.mktemp("contract") / "cfg.json"
     path.write_text(json.dumps(cfg))
-    for command in cli._COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path)])
-        assert code in (0, 2, 3), command
-        assert (err.getvalue() if code == 0 else out.getvalue()) == "", command
+    try:
+        for command in cli._COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+            assert code in ((0, 2, 3) if field is None else (2,)), command
+            assert (err.getvalue() if code == 0 else out.getvalue()) == "", command
+        if field is not None:
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
+for _field in HUGE_FIELDS:  # each field past its bound at least once
+    test_exit_code_contract_on_generated_configs = example(
+        cfg={"space": QUARTER, "witness": {"theta": 0.5, "windows": [4]}}, huge=(_field, 10**23)
+    )(test_exit_code_contract_on_generated_configs)
 
 
 def test_probe_random_probes_fit_a_short_k_range(capsys, tmp_path):

@@ -19,6 +19,7 @@ from rispect import (
     Orlicz,
     PiecewisePower,
     PurePower,
+    WitnessFamily,
     space_norm,
     build_witness,
     distortion,
@@ -430,11 +431,121 @@ def test_probe_whose_sum_underflows_is_numerical_failure(quarter):
         distortion(fam, [[1.0, 0.0, 0.0], [5e-324] * 3])
 
 
+# --- classes of probe rows normed once ----------------------------------------------
+
+class_magnitude = st.one_of(
+    st.integers(-10, 10).map(lambda k: 2.0**k),
+    st.floats(1e-3, 1e3),
+    # Subnormal and tiny: products that underflow to 0 or to subnormals;
+    # 1.7e308: products that overflow.
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1.7e308]),
+)
+sign = st.sampled_from([1.0, -1.0])
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def class_cases(draw):
+    """A family of 1-12 copies of a drawn base, and rows over a pool of at
+    most three magnitudes (and, in one case of ten, a non-finite one), so
+    that classes repeat: one nonzero entry at a drawn position among 0.0 and
+    -0.0, one magnitude with drawn signs, free rows of pool entries and
+    signed zeros (their own classes), and all-zero rows."""
+    n_copies = draw(st.integers(1, 12))
+    pool = draw(st.lists(class_magnitude, min_size=1, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(draw(st.sampled_from([math.inf, math.nan])))
+    magnitude = st.sampled_from(pool)
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["single", "flat", "free", "zero"]))
+        if kind == "single":
+            row = draw(st.lists(signed_zero, min_size=n_copies, max_size=n_copies))
+            row[draw(st.integers(0, n_copies - 1))] = draw(sign) * draw(magnitude)
+        elif kind == "flat":
+            m = draw(magnitude)
+            row = [s * m for s in draw(st.lists(sign, min_size=n_copies, max_size=n_copies))]
+        else:
+            entry = signed_zero if kind == "zero" else st.one_of(signed_zero, magnitude)
+            row = [draw(sign) * x for x in draw(st.lists(entry, min_size=n_copies, max_size=n_copies))]
+        rows.append(row)
+    fam = WitnessFamily(draw(st.sampled_from(SPACES)), draw(bases()), n_copies, draw(theta_value))
+    return fam, rows
+
+
+def per_probe_outcome(fam, probes):
+    """per_probe_distortion, or the failures distortion may report as
+    (type, message).  Every product is checked before any norm, so a probe
+    with a non-finite product reports the first such probe's ValueError;
+    otherwise each probe whose norm fails, or whose sum underflows to 0
+    (where the loop divides by 0), is a NumericalError with its own message,
+    and distortion reports one of them."""
+    failures = []
+    for a in probes:
+        try:
+            per_probe_distortion(fam, [a])
+        except ZeroDivisionError:
+            failures.append((NumericalError, "the disjoint sum of a nonzero probe underflows to 0"))
+        except (ValueError, NumericalError) as exc:
+            failures.append((type(exc), str(exc)))
+    return [f for f in failures if f[0] is ValueError][:1] or failures or per_probe_distortion(fam, probes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=class_cases())
+def test_classed_rows_equal_a_per_probe_loop(case):
+    """Norming one row per class gives the loop's distortion bit for bit, or
+    the same failure: type and message."""
+    fam, probes = case
+    want = per_probe_outcome(fam, probes)
+    try:
+        got = distortion(fam, probes)
+    except (ValueError, NumericalError) as exc:
+        assert isinstance(want, list) and (type(exc), str(exc)) in want
+    else:
+        assert got == want
+
+
+def test_permuted_rows_are_not_one_class():
+    """[1, 2, 4] and [4, 2, 1] have one multiset of |a_j| but not one norm.
+    With base values 4, 2, 1 their products tie at 4 across three copies,
+    and the tied measures are summed in position order: (2**-53 + 2**-53) + 1
+    is 1 + 2**-52, but (1 + 2**-53) + 2**-53 is 1.  So each row is normed."""
+    base = Distribution(((4.0, 2.0**-53), (2.0, 2.0**-53), (1.0, 1.0)))
+    fam = WitnessFamily(Orlicz(PurePower(2.0)), base, 3, 0.5)
+    a, b = [1.0, 2.0, 4.0], [4.0, 2.0, 1.0]
+    assert [m[2] for _, m in row_path([a, b], base)] == [1.0 + 2.0**-52, 1.0]
+    each = [distortion(fam, [a]), distortion(fam, [b])]
+    assert each[0] != each[1]
+    assert distortion(fam, [a, b]) == distortion(fam, [b, a]) == max(each)
+
+
+def test_distortion_norms_one_row_per_class(quarter, monkeypatch):
+    """17 copies with 40 random probes at theta 0.5: the 17 unit vectors are
+    one class, all-ones and the alternating signs another, so 43 of the 60
+    rows are normed, and the distortion is the per-probe loop's."""
+    rows = []
+
+    def counted_norm_rows(space, values, measures):
+        rows.append(len(measures))
+        return norm_rows(space, values, measures)
+
+    norm_rows = spaces._norm_rows
+    fam = build_witness(quarter, 2.0**0.5, 17, 8, -48)
+    probes = standard_probes(17, 0.5, seed=1, n_random=40)
+    monkeypatch.setattr(spaces, "_norm_rows", counted_norm_rows)
+    got = distortion(fam, probes)
+    assert (len(probes), sum(rows)) == (60, 43)
+    monkeypatch.undo()
+    assert got == per_probe_distortion(fam, probes)
+
+
 def test_witness_command_norms_each_chunk_group_once(capsys, tmp_path, monkeypatch):
     """One witness command in the report-sweep shape (Orlicz power_log(2, 1),
-    17 copies, windows 8 and 32, 40 random probes) makes 13 row-kernel
+    17 copies, windows 8 and 32, 40 random probes) makes 11 row-kernel
     evaluations: one per window to normalize its base, and one per atom
-    count of each chunk of disjoint sums (18 with chunks of 4096 products)."""
+    count of each chunk of the 43 probe rows normed of 60 (15 with chunks of
+    4096 products)."""
     calls = []
 
     def counted_norm_rows(space, values, measures):
@@ -454,7 +565,7 @@ def test_witness_command_norms_each_chunk_group_once(capsys, tmp_path, monkeypat
     path.write_text(json.dumps(cfg))
     assert cli.main(["witness", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
-    assert len(calls) == 13
+    assert len(calls) == 11
 
 
 # --- certificates: distortion tends to 1 exactly on the frep set ------------------
