@@ -808,7 +808,7 @@ def run_configs(draw) -> dict:
 
 # In a third of the configs, one probe count, window or window start past
 # every bound.
-HUGE_FIELDS = ["n_random", "witness.n_random", "witness.n_copies", "witness.windows", "witness.k"]
+HUGE_FIELDS = COUNT_FIELDS + ["witness.windows", "witness.k"]
 huge_fields = st.tuples(
     st.sampled_from([None] * 10 + HUGE_FIELDS),
     st.one_of(st.integers(2**31, 10**30), st.integers(-(10**30), -(2**31))),
