@@ -36,6 +36,7 @@ from .spectra import (
     probe_lower_bounds,
     residual_curve,
 )
+from .steps import MAX_COPIES, MAX_RANDOM
 from .witness import build_witness, distortion, standard_probes
 
 __all__ = ["main", "ConfigError", "RunConfig"]
@@ -46,15 +47,6 @@ RESIDUAL_CSV_HEADER = "lambda,theta,n,residual,argmin_k"
 
 class ConfigError(ValueError):
     """Bad run configuration; message names the offending field."""
-
-
-# Probe counts are refused above these bounds before anything is allocated.
-# A random probe of a suite holds about 3 KB while its rate is scanned, so
-# 10,000 take about 30 MB.  A witness holds its (n_copies + 3 + n_random) x
-# n_copies coefficients as Python floats and then as an array, about 40 bytes
-# each: at most 2.6 million, about 130 MB, at both bounds.
-MAX_RANDOM = 10_000
-MAX_COPIES = 256
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Norms are evaluated exactly on finite step functions: the Lorentz functional
 integrates the decreasing profile against the parameter function, and the
 Orlicz (Luxemburg) norm is the root of the modular equation, bracketed by the
 convexity of N and found by secant steps in log coordinates.  Each space
-has one norm kernel, which norms many distributions at once as the rows of an
-array.
+has one norm kernel, which norms many distributions at once as array rows:
+one evaluation holds rows of several atom counts, each count a 2-D piece.
 """
 
 from __future__ import annotations
@@ -364,14 +364,17 @@ def fundamental(space: SpaceSpec, t: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lorentz_rows(values: np.ndarray, cum: np.ndarray, q: float, psi: FnSpec) -> np.ndarray:
-    """Row i: (sum_j v_ij**q * (psi(T_ij) - psi(T_i,j-1)))**(1/q), T_i = cum[i]
-    the cumulative sums of row i's measures; values is one row per row of
-    cum, or one row shared by all."""
-    psi_vals = np.asarray(psi.value(cum), dtype=float)
-    dpsi = psi_vals.copy()  # np.diff(psi_vals, prepend=0.0) per row, at a fraction of its cost
-    dpsi[:, 1:] -= psi_vals[:, :-1]
-    return _pow_each((values**q * dpsi).sum(axis=1), 1.0 / q)
+def _lorentz_rows(pieces: list, q: float, psi: FnSpec) -> np.ndarray:
+    """Row i of a piece (values, cum): (sum_j v_ij**q * (psi(T_ij) -
+    psi(T_i,j-1)))**(1/q), T_i = cum[i].  psi runs once, over all pieces."""
+    cum = pieces[0][1] if len(pieces) == 1 else np.concatenate([cum.ravel() for _, cum in pieces])
+    psi_flat, sums, at = np.asarray(psi.value(cum), dtype=float).ravel(), [], 0
+    for values, cum in pieces:
+        psi_vals = psi_flat[at : (at := at + cum.size)].reshape(cum.shape)
+        dpsi = psi_vals.copy()  # np.diff(psi_vals, prepend=0.0) per row, at a fraction of its cost
+        dpsi[:, 1:] -= psi_vals[:, :-1]
+        sums.append((values**q * dpsi).sum(axis=1))
+    return _pow_each(sums[0] if len(sums) == 1 else np.concatenate(sums), 1.0 / q)
 
 
 def _secant_rows(f, u: np.ndarray, a, b, fa, fb) -> np.ndarray:
@@ -418,9 +421,9 @@ def _secant_rows(f, u: np.ndarray, a, b, fa, fb) -> np.ndarray:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.ndarray:
-    """Row i: the root u of sum_j weights_ij * N(values_ij / u) = 1, which
-    decreases in u; values is one row per weight row, or one row shared by all.
+def _luxemburg_rows(pieces: list, N: FnSpec) -> np.ndarray:
+    """Row i of a piece (values, weights): the root u of sum_j weights_ij *
+    N(values_ij / u) = 1, which decreases in u.
 
     N = t**a (equal exponents) solves in closed form.  Otherwise row i solves
     f(x) = log modular(u0 * e**x) = 0 with _secant_rows, u0 = max_j
@@ -431,18 +434,26 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     then doubles x until f changes sign (a NaN keeps a row going), stopping
     where u or u0 / u would leave the floats and then going to u = inf (a
     root above the floats reads inf) or u = 0.  A row that brackets its root
-    at u = 0, or sees no sign change at either end, is a NumericalError."""
+    at u = 0, or sees no sign change at either end, is a NumericalError.
+    Pieces share one bracket search and secant loop, and f takes the modular
+    on each piece's own rows: each row keeps the bits of a one-piece call.
+    All rows are bracketed first, so a bracketing failure beats a step cap."""
     e = N.exponents()
     if e is not None and e[0] == e[1]:
-        return _pow_each((weights * values ** e[0]).sum(axis=1), 1.0 / e[0])
-    values = np.broadcast_to(values, weights.shape)
-    u0 = values.max(axis=1)
+        return _pow_each(np.concatenate([(w * v ** e[0]).sum(axis=1) for v, w in pieces]), 1.0 / e[0])
+    pieces = [(np.broadcast_to(values, weights.shape), weights) for values, weights in pieces]
+    bounds = np.cumsum([0] + [len(weights) for _, weights in pieces])
+    firsts, u0 = bounds.tolist(), np.concatenate([values.max(axis=1) for values, _ in pieces])
 
     def f(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # rows is sorted and unique, so at full size it is every row: no gather.
-        v, w = (values, weights) if rows.size == len(weights) else (values[rows], weights[rows])
-        terms = np.asarray(N.value(v / u[:, None]), dtype=float)
-        return np.log((w * terms).sum(axis=1))
+        # rows is sorted and unique: a piece's rows are a slice, all of them at its size.
+        cuts, out = np.searchsorted(rows, bounds).tolist(), np.empty(rows.size)
+        for (values, weights), first, lo, hi in zip(pieces, firsts, cuts, cuts[1:]):
+            if lo < hi:
+                own = slice(None) if hi - lo == len(weights) else rows[lo:hi] - first
+                terms = np.asarray(N.value(values[own] / u[lo:hi, None]), dtype=float)
+                out[lo:hi] = (weights[own] * terms).sum(axis=1)
+        return np.log(out)
 
     f0 = f(u0, np.arange(u0.size))
     up = f0 > 0.0
@@ -474,15 +485,15 @@ def _luxemburg_rows(values: np.ndarray, weights: np.ndarray, N: FnSpec) -> np.nd
     return _secant_rows(f, u0, a, b, fa, fb)
 
 
-def _norm_rows(space: SpaceSpec, values: np.ndarray, measures: np.ndarray) -> np.ndarray:
-    """Row i is the norm of the distribution (values[i], measures[i]), where
-    for a Lorentz space measures[i] holds the cumulative sums of its measures;
-    values is one row per measure row, or one row shared by all.  Every row
-    is a nonzero distribution, so a zero norm is an underflow: NumericalError."""
+def _norm_rows(space: SpaceSpec, pieces: list) -> np.ndarray:
+    """One row-kernel evaluation: the norms of the rows (values[i],
+    measures[i]) of the pieces (values, measures) in order; values is one row
+    per measure row or one shared row, and a Lorentz space's measures[i] are
+    cumulative sums.  Every row is nonzero, so a zero norm is an underflow."""
     if isinstance(space, Lorentz):
-        norms = _lorentz_rows(values, measures, space.q, space.psi)
+        norms = _lorentz_rows(pieces, space.q, space.psi)
     else:
-        norms = _luxemburg_rows(values, measures, space.N)
+        norms = _luxemburg_rows(pieces, space.N)
     if not norms.all():
         raise NumericalError("the norm of a nonzero distribution underflows to 0")
     return norms
@@ -510,9 +521,10 @@ def _grouped_norms(space: SpaceSpec, batches: list) -> np.ndarray:
     measures, offsets, scales) holds canonical rows as _canonical_rows gives
     them, each normed with its measures times each scale in turn (scales
     _UNSCALED norms it as it is); a row with no atoms reads 0.0.  The rows of
-    one atom count are normed in order across batches, _NORM_ELEMS elements
-    per evaluation, each row gathered once; a chunk inside one row shares its
-    value row.  A Lorentz row's cumulative measures are scaled per norm: 2**k
+    one atom count are gathered once and cut, in order across batches, into
+    chunks (one inside a row shares its value row), and the chunks of all
+    atom counts, in order, make row-kernel evaluations of _NORM_ELEMS
+    elements.  A Lorentz row's cumulative measures are scaled per norm: 2**k
     times a partial sum rounds as the partial sum of the scaled measures while
     both stay normal floats, as every shifted block row does in |k| <= 1000."""
     lorentz = isinstance(space, Lorentz)
@@ -528,6 +540,7 @@ def _grouped_norms(space: SpaceSpec, batches: list) -> np.ndarray:
     w = widths[order]
     cuts = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), w.size]
     groups = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo and w[lo]]
+    pieces, dests, size = [], [], 0  # the chunks of the next evaluation, where their norms go
     for rows in sorted(groups, key=lambda g: g[0]):
         width, n = int(widths[rows[0]]), copies[rows]
         # Norm i of the group is one of row rows[row_of[i]]'s, and goes to out[dest[i]].
@@ -545,7 +558,14 @@ def _grouped_norms(space: SpaceSpec, batches: list) -> np.ndarray:
             lo, hi = int(own[0]), int(own[-1]) + 1
             # One row shares its value row; rows once each, in order, are a slice.
             own = lo if hi - lo == 1 else slice(lo, hi) if hi - lo == own.size else own
-            out[at] = _norm_rows(space, v[own], scales[at, None] * m[own])
+            if pieces and size + at.size * width > _NORM_ELEMS:
+                out[dests[0] if len(dests) == 1 else np.concatenate(dests)] = _norm_rows(space, pieces)
+                pieces, dests, size = [], [], 0
+            pieces.append((v[own], scales[at, None] * m[own]))
+            dests.append(at)
+            size += at.size * width
+    if pieces:
+        out[dests[0] if len(dests) == 1 else np.concatenate(dests)] = _norm_rows(space, pieces)
     return out
 
 

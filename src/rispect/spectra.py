@@ -20,7 +20,7 @@ import numpy as np
 from .indices import IndexSet, WeightSeq
 from .shifts import shift_minus
 from .spaces import _UNSCALED, NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
-from .steps import Seq, _canonical_rows, _seeded_generators
+from .steps import MAX_RANDOM, Seq, _canonical_rows, _seeded_generators
 
 __all__ = [
     "ThetaInterval",
@@ -164,8 +164,8 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         if self.k_lo > self.k_hi:
             raise ValueError(f"k_hi must be >= k_lo, got k_lo={self.k_lo}, k_hi={self.k_hi}")
-        if self.n_random < 0:
-            raise ValueError(f"n_random must be >= 0, got {self.n_random}")
+        if not 0 <= self.n_random <= MAX_RANDOM:
+            raise ValueError(f"n_random must lie in [0, {MAX_RANDOM}], got {self.n_random}")
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,15 @@ def dyadic_sample(d: Distribution) -> Distribution:
     return Distribution(tuple(atoms))
 
 
+# Probe counts are refused above these bounds before anything is allocated.
+# A random probe of a suite holds about 3 KB while its rate is scanned, so
+# 10,000 take about 30 MB.  A witness holds its (n_copies + 3 + n_random) x
+# n_copies coefficients as one float64 array: at most 2.6 million, 21 MB, at
+# both bounds, and one distortion on them peaks at about 67 MB.
+MAX_RANDOM = 10_000
+MAX_COPIES = 256
+
+
 def _seeded_generators(prefix: tuple, n: int) -> list:
     """[Generator(PCG64(SeedSequence((*prefix, i)))) for i in range(n)], bit for
     bit and with its errors: SeedSequence's hash runs once over the array of all i,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .shifts import geometric_window
 from .spaces import _UNSCALED, NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
-from .steps import Distribution, _disjoint_sum_chunks, _seeded_generators
+from .steps import MAX_COPIES, MAX_RANDOM, Distribution, _disjoint_sum_chunks, _seeded_generators
 
 __all__ = [
     "WitnessFamily",
@@ -92,19 +92,22 @@ def _lp_rows(a: np.ndarray, theta: float) -> np.ndarray:
     return m * _pow_each(((a / m[:, None]) ** p).sum(axis=1), 1.0 / p)
 
 
-def standard_probes(
-    n_copies: int, theta: float, seed: int, n_random: int = 100
-) -> list[list[float]]:
-    """Unit vectors, all-ones, alternating signs, a matched geometric decay,
-    and seeded random normal vectors."""
-    probes: list[list[float]] = [
-        [1.0 if j == i else 0.0 for j in range(n_copies)] for i in range(n_copies)
-    ]
-    probes.append([1.0] * n_copies)
-    probes.append([(-1.0) ** j for j in range(n_copies)])
-    probes.append([2.0 ** (-j * theta) for j in range(n_copies)])
-    randoms = _seeded_generators((seed, 7777), n_random)
-    return probes + [rng.standard_normal(n_copies).tolist() for rng in randoms]
+def standard_probes(n_copies: int, theta: float, seed: int, n_random: int = 100) -> np.ndarray:
+    """The rows of one float64 array: unit vectors, all-ones, alternating
+    signs, a matched geometric decay, and seeded random normal vectors.
+    Counts outside [1, MAX_COPIES] and [0, MAX_RANDOM] are a ValueError."""
+    if not 1 <= n_copies <= MAX_COPIES:
+        raise ValueError(f"n_copies must lie in [1, {MAX_COPIES}], got {n_copies}")
+    if not 0 <= n_random <= MAX_RANDOM:
+        raise ValueError(f"n_random must lie in [0, {MAX_RANDOM}], got {n_random}")
+    probes = np.zeros((n_copies + 3 + n_random, n_copies))
+    np.fill_diagonal(probes, 1.0)
+    probes[n_copies : n_copies + 2] = 1.0
+    probes[n_copies + 1, 1::2] = -1.0
+    probes[n_copies + 2] = [2.0 ** (-j * theta) for j in range(n_copies)]
+    for row, rng in zip(probes[n_copies + 3 :], _seeded_generators((seed, 7777), n_random)):
+        rng.standard_normal(out=row)
+    return probes
 
 
 def _class_heads(coeffs: np.ndarray) -> np.ndarray:
@@ -141,10 +144,10 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     products may tie across copies, and the measures of a merged group are
     summed in position order, and float addition is not associative.
     """
-    for a in probe_coeffs:
-        if len(a) != fam.n_copies:
-            raise ValueError(f"probe length {len(a)} != n_copies {fam.n_copies}")
-    coeffs = np.array(probe_coeffs, dtype=float).reshape(len(probe_coeffs), fam.n_copies)
+    coeffs = np.asarray(probe_coeffs, dtype=float)
+    if len(coeffs) and coeffs.shape[1:] != (fam.n_copies,):
+        raise ValueError(f"probes of shape {coeffs.shape} are not rows of n_copies {fam.n_copies}")
+    coeffs = coeffs.reshape(len(coeffs), fam.n_copies)
     coeffs = coeffs[(coeffs != 0.0).any(axis=1)]
     coeffs = coeffs[_class_heads(coeffs)]
     worst, start = 1.0, 0

@@ -1,5 +1,5 @@
-"""Shared fixtures: the six reference spaces used across the suite, and a
-call counter for the work-count pins."""
+"""Shared fixtures: the six reference spaces used across the suite, and the
+call and evaluation counters for the work-count pins."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rispect import FnSpec, Lorentz, Orlicz, PiecewisePower, PurePower
+from rispect import FnSpec, Lorentz, Orlicz, PiecewisePower, PurePower, spaces
 
 settings.register_profile(
     "deterministic",
@@ -85,3 +85,18 @@ def counted():
         return Counted(*(getattr(fn, f.name) for f in fields(fn))), calls
 
     return wrap
+
+
+@pytest.fixture
+def evaluations(monkeypatch) -> list[int]:
+    """The number of rows of each row-kernel evaluation (spaces._norm_rows)
+    made while the test runs, in order.  Work pins count these, not time."""
+    rows: list[int] = []
+    norm_rows = spaces._norm_rows
+
+    def counted(space, pieces):
+        rows.append(sum(len(measures) for _, measures in pieces))
+        return norm_rows(space, pieces)
+
+    monkeypatch.setattr(spaces, "_norm_rows", counted)
+    return rows

@@ -159,7 +159,7 @@ def reference_norm(space, atoms) -> float:
         return 0.0
     values, measures = np.array(atoms).T
     if isinstance(space, Lorentz):
-        return float(_lorentz_rows(values, np.cumsum(measures)[None, :], space.q, space.psi)[0])
+        return float(_lorentz_rows([(values, np.cumsum(measures)[None, :])], space.q, space.psi)[0])
     return reference_root(values, measures, space.N)
 
 
@@ -236,7 +236,7 @@ def test_lorentz_rows_of_scaled_cumulative_measures_are_the_direct_sum(psi, q, d
     a = data.draw(windows())
     ks = data.draw(starts(a))
     values, m = np.array(reference_seq_atoms(a)).T
-    got = _lorentz_rows(values, np.ldexp(1.0, ks)[:, None] * np.cumsum(m), q, psi)
+    got = _lorentz_rows([(values, np.ldexp(1.0, ks)[:, None] * np.cumsum(m))], q, psi)
     for k, norm in zip(ks, got.tolist()):
         dpsi = np.diff(np.asarray(psi.value(np.cumsum(np.ldexp(m, k))), dtype=float), prepend=0.0)
         assert norm == float(np.sum(values**q * dpsi) ** (1.0 / q))
@@ -258,7 +258,7 @@ def test_luxemburg_rows_match_scalar_root(N, values, scales, seed):
     values = np.array(values)
     rng = np.random.default_rng(seed)
     weights = np.ldexp(rng.uniform(0.5, 1.0, (len(scales), values.size)), np.array(scales)[:, None])
-    rows = _luxemburg_rows(values, weights, N)
+    rows = _luxemburg_rows([(values, weights)], N)
     assert rows.tolist() == [reference_root(values, w, N) for w in weights]
 
 
@@ -269,7 +269,7 @@ def test_luxemburg_bracket_reaching_zero_is_numerical_failure(N):
     with pytest.raises(NumericalError, match="u = 0"):
         space_norm(Orlicz(N), Distribution(((5e-324, 0.5),)))
     with pytest.raises(NumericalError, match="u = 0"):
-        _luxemburg_rows(np.array([5e-324]), np.array([[1.0], [0.5]]), N)
+        _luxemburg_rows([(np.array([5e-324]), np.array([[1.0], [0.5]]))], N)
 
 
 @pytest.mark.parametrize(
@@ -460,19 +460,26 @@ def one_request(space, item) -> np.ndarray:
     return block_norms(space, *item)
 
 
+# Geometric windows of 4 and 8 atoms over a few starts and a one-atom row:
+# at a budget of 256 elements, one evaluation holds all three atom counts.
+MIXED_WIDTHS = [(geometric_window(1.3, 0, 3), [0, 5, -5]), (geometric_window(1.5, 0, 7), [-3, 2]), D_ONE]
+
+
 @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
 @settings(max_examples=20, deadline=None)
-@given(items=request_lists(), elems=st.sampled_from([_NORM_ELEMS, 64, 1]))
+@given(items=request_lists(), elems=st.sampled_from([_NORM_ELEMS, 256, 64, 1]))
 # A norm past the largest float on some spaces (Orlicz t**2: 2**40 * 2**1000
 # overflows), then two rows of one batch.
 @example(items=[(Seq({0: 1.0, 12: 2.0**20}), [988]), D_ONE, D_ONE], elems=_NORM_ELEMS)
+@example(items=MIXED_WIDTHS, elems=256)
 def test_grouped_norms_equal_one_request_each(space, items, elems):
     """Each item's rows have the bits of its own block_norms or space_norms
-    call however the rows of the batches are grouped and chunked: at the
-    shipped element budget, at one that cuts windows into chunks, and at one
-    row per evaluation.  An item that fails alone fails the batches: a norm
-    that underflows raises, and one that overflows reads inf or NaN, which
-    block_norms and space_norms refuse."""
+    call however the rows of the batches are grouped, chunked and shared
+    between evaluations: at the shipped element budget, at ones that cut
+    windows into chunks and put several atom counts in one evaluation, and
+    at one row per evaluation.  An item that fails alone fails the batches:
+    a norm that underflows raises, and one that overflows reads inf or NaN,
+    which block_norms and space_norms refuse."""
     try:
         want = [one_request(space, item) for item in items]
     except NumericalError:
@@ -484,6 +491,46 @@ def test_grouped_norms_equal_one_request_each(space, items, elems):
         got = _grouped_norms(space, as_batches(items))
     parts = np.split(got, np.cumsum([w.size for w in want])[:-1])
     assert [part.tobytes() for part in parts] == [w.tobytes() for w in want]
+
+
+def piece_widths(monkeypatch) -> list[list[int]]:
+    """The atom count of each piece of each row-kernel evaluation from here on."""
+    widths, norm_rows = [], spaces._norm_rows
+
+    def counted(space, pieces):
+        widths.append([measures.shape[1] for _, measures in pieces])
+        return norm_rows(space, pieces)
+
+    monkeypatch.setattr(spaces, "_norm_rows", counted)
+    return widths
+
+
+@pytest.mark.parametrize("space", [SPACES[14], SPACES[15]], ids=SPACE_IDS[14:])
+def test_mixed_widths_share_one_evaluation(space, monkeypatch):
+    """The MIXED_WIDTHS example puts its three atom counts in one evaluation
+    of an Orlicz space that takes secant steps, and keeps every bit."""
+    want = [one_request(space, item).tobytes() for item in MIXED_WIDTHS]
+    widths = piece_widths(monkeypatch)
+    with patch.object(spaces, "_NORM_ELEMS", 256):
+        got = _grouped_norms(space, as_batches(MIXED_WIDTHS))
+    assert [sorted(set(w)) for w in widths] == [[1, 4, 8]]
+    assert [part.tobytes() for part in np.split(got, [3, 5])] == want
+
+
+@pytest.mark.parametrize("N", [NS[2], NS[3]], ids=[NS[2].kind, NS[3].kind])
+def test_bracketing_failure_reads_the_same_among_other_widths(N, monkeypatch):
+    """A row whose root brackets at u = 0 raises the message it raises
+    alone, also when it shares its evaluation with rows of other atom counts
+    that norm fine, before or after it."""
+    bad = Distribution(((5e-324, 0.5),))
+    with pytest.raises(NumericalError) as alone:
+        space_norm(Orlicz(N), bad)
+    healthy = [Distribution(((3.0, 1.0), (1.0, 2.0))), Distribution(((4.0, 0.5), (2.0, 1.0), (1.0, 3.0)))]
+    widths = piece_widths(monkeypatch)
+    for ds in ([healthy[0], bad, healthy[1]], [*healthy, bad], [bad, *healthy]):
+        with pytest.raises(NumericalError, match=f"^{re.escape(str(alone.value))}$"):
+            space_norms(Orlicz(N), ds)
+    assert [sorted(w) for w in widths] == [[1, 2, 3]] * 3
 
 
 def test_probe_lower_bound_norms_in_grouped_evaluations(counted):
@@ -515,7 +562,7 @@ def probe_bits(res) -> str:
     )
 
 
-def test_probe_lower_bounds_norm_the_shared_rows_once(monkeypatch):
+def test_probe_lower_bounds_norm_the_shared_rows_once(evaluations):
     """Work count for two lambdas in the shape of the probe-lorentz benchmark
     (257 starts, windows 8 to 64 at three rates, 200 random probes): 16,334
     rows reach the row kernels per lambda alone, 32,668 for both, and 28,299
@@ -524,27 +571,22 @@ def test_probe_lower_bounds_norm_the_shared_rows_once(monkeypatch):
     space = Lorentz(1.0, PiecewisePower(0.25, 0.75))
     ix = IndexSet(0.25, 0.75, 0.25, 0.75, 0.25, 0.75)
     cfg = ProbeConfig(k_lo=-128, k_hi=128, n_values=(8, 16, 32, 64), n_random=200, seed=1)
-    rows, norm_rows = [], spaces._norm_rows
-
-    def counting(space, values, measures):
-        rows.append(len(measures))
-        return norm_rows(space, values, measures)
-
-    monkeypatch.setattr(spaces, "_norm_rows", counting)
     want = [probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in enumerate((1.3, 1.5))]
-    assert sum(rows) == 32668
-    rows.clear()
+    assert sum(evaluations) == 32668
+    evaluations.clear()
     got = probe_lower_bounds(space, [1.3, 1.5], cfg, ix)
-    assert sum(rows) == 28299
+    assert sum(evaluations) == 28299
     assert [probe_bits(r) for r in got] == [probe_bits(r) for r in want]
 
 
-def test_probe_lower_bounds_share_power_log_work(counted):
+def test_probe_lower_bounds_share_power_log_work(counted, evaluations):
     """Work count for two lambdas in the shape of the probe-orlicz benchmark
     (65 starts, windows 8, 16 and 32 at three rates, 50 random probes) on
     power_log(2, 1): N.value runs over 1,084,823 elements for the two
     lambdas one at a time and 947,152 in one batch, which solves the roots of
-    the unit vector and of the index rates' windows once."""
+    the unit vector and of the index rates' windows once.  The batch makes
+    25 row-kernel evaluations, each of chunks of several atom counts up to
+    the element budget."""
     N, calls = counted(PowerLog(2.0, 1.0))
     space = Orlicz(N)
     ix = estimate_indices(block_weights(space, -128, 128), 32)
@@ -553,8 +595,10 @@ def test_probe_lower_bounds_share_power_log_work(counted):
     want = [probe_lower_bound(space, lam, cfg, ix, lam_index=i) for i, lam in enumerate((1.3, 1.6))]
     assert sum(calls) == 1084823
     calls.clear()
+    evaluations.clear()
     got = probe_lower_bounds(space, [1.3, 1.6], cfg, ix)
     assert sum(calls) == 947152
+    assert len(evaluations) == 25
     assert [probe_bits(r) for r in got] == [probe_bits(r) for r in want]
 
 
@@ -824,7 +868,7 @@ def test_luxemburg_rows_bracket_far_roots_by_search(counted):
     N, calls = counted(PowerLog(2.0, 1.0))
     values = np.array([3.0, 2.0, 1.0])
     weights = np.ldexp(np.array([1.0, 2.0, 4.0]), np.arange(-400, 401, 50)[:, None])
-    got = _luxemburg_rows(values, weights, N)
+    got = _luxemburg_rows([(values, weights)], N)
     assert len(calls) <= 7
     assert got.tolist() == [reference_root(values, w, PowerLog(2.0, 1.0)) for w in weights]
 
@@ -870,7 +914,7 @@ def test_luxemburg_rows_past_the_slope_bracket_match_scalar_root(counted, N, row
     """Each norm is the scalar root's, in the pinned number of N.value calls."""
     values, weights = PAST_THE_SLOPE[rows]
     counted_N, calls = counted(N)
-    got = _luxemburg_rows(values, weights, counted_N)
+    got = _luxemburg_rows([(values, weights)], counted_N)
     assert len(calls) <= PAST_THE_SLOPE_CALLS[N.kind, rows]
     assert got.tolist() == [reference_root(values, w, N) for w in weights]
 

@@ -85,10 +85,10 @@ def reference_random_probes(cfg: ProbeConfig, lam_index: int) -> tuple[list, lis
     return starts, rows
 
 
-def reference_standard_probes(n_copies: int, theta: float, seed: int, n_random: int) -> list:
+def reference_standard_probes(n_copies: int, theta: float, seed: int, n_random: int) -> np.ndarray:
     """standard_probes drawn with one SeedSequence per random probe."""
-    randoms = [g.standard_normal(n_copies).tolist() for g in numpy_generators((seed, 7777), n_random)]
-    return standard_probes(n_copies, theta, seed, 0) + randoms
+    randoms = [g.standard_normal(n_copies) for g in numpy_generators((seed, 7777), n_random)]
+    return np.vstack([standard_probes(n_copies, theta, seed, 0), *randoms])
 
 
 @pytest.mark.parametrize(
@@ -110,9 +110,9 @@ def test_random_probes_equal_per_probe_seeding(cfg, lam_index):
     "n_copies, theta, seed, n_random", [(17, 0.5, 0x5EED, 40), (6, 0.25, 1, 100), (3, 0.0, 2**40, 7), (4, 1.0, 5, 0)]
 )
 def test_standard_probes_equal_per_probe_seeding(n_copies, theta, seed, n_random):
-    assert standard_probes(n_copies, theta, seed, n_random) == reference_standard_probes(
-        n_copies, theta, seed, n_random
-    )
+    got = standard_probes(n_copies, theta, seed, n_random)
+    want = reference_standard_probes(n_copies, theta, seed, n_random)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_suites_build_no_seed_sequence_per_probe(monkeypatch):

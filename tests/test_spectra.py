@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,7 @@ from rispect import (
     residual_curve,
     shift_minus,
 )
+from rispect.steps import MAX_RANDOM
 
 
 def intervals(report) -> list[tuple[float, float]]:
@@ -217,9 +219,24 @@ def test_probe_config_rejects_an_empty_k_range():
 
 
 def test_probe_config_rejects_a_negative_n_random():
-    with pytest.raises(ValueError, match=r"^n_random must be >= 0, got -2$"):
+    with pytest.raises(ValueError, match=r"^n_random must lie in \[0, 10000\], got -2$"):
         ProbeConfig(n_random=-2)
     assert ProbeConfig(n_random=0).n_random == 0
+
+
+@pytest.mark.parametrize("n_random", [MAX_RANDOM + 1, 10**23])
+def test_probe_config_refuses_a_huge_n_random_before_allocation(quarter, n_random):
+    """A count past the bound is refused by name, by the library as by the
+    CLI, before any probe is drawn; the bound itself is a valid suite."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^n_random must lie in \[0, {MAX_RANDOM}\], got {n_random}$"):
+            probe_lower_bound(quarter, 1.5, ProbeConfig(n_random=n_random))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert ProbeConfig(n_random=MAX_RANDOM).n_random == MAX_RANDOM
 
 
 def test_probe_lower_bound_outside_spectrum(quarter):

@@ -26,9 +26,9 @@ from rispect import (
     lp_norm,
     standard_probes,
 )
-from rispect import cli, spaces
+from rispect import cli
 from rispect.spaces import _grouped_norms
-from rispect.steps import MERGE_REL_TOL, _NORM_ELEMS, _disjoint_sum_chunks
+from rispect.steps import MAX_COPIES, MAX_RANDOM, MERGE_REL_TOL, _NORM_ELEMS, _disjoint_sum_chunks
 from rispect.witness import _lp_rows
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
 from test_steps import disjoint_sum, reference_disjoint_sum
@@ -124,18 +124,19 @@ def test_distortion_equals_per_probe_norms(space, theta, window_n):
     is skipped."""
     n_copies = 5
     fam = build_witness(space, 2.0**theta, n_copies, window_n, -(window_n + 40))
-    probes = standard_probes(n_copies, theta, seed=17, n_random=8)
-    probes.insert(n_copies + 1, [0.0] * n_copies)
+    probes = np.insert(standard_probes(n_copies, theta, seed=17, n_random=8), n_copies + 1, 0.0, axis=0)
     assert len({len(disjoint_sum(a, fam.base).atoms) for a in probes}) >= 3
     assert distortion(fam, probes) == reference_distortion(fam, probes)
     with pytest.raises(ValueError):
-        distortion(fam, probes + [[1.0] * (n_copies - 1)])
+        distortion(fam, [*probes.tolist(), [1.0] * (n_copies - 1)])
+    with pytest.raises(ValueError, match="not rows of n_copies 5"):
+        distortion(fam, probes[:, :-1])
 
 
 def test_distortion_order_free(quarter):
     fam = build_witness(quarter, 2.0**0.25, 3, 8, -60)
     probes = standard_probes(3, fam.theta, seed=5, n_random=10)
-    assert distortion(fam, probes) == distortion(fam, list(reversed(probes)))
+    assert distortion(fam, probes) == distortion(fam, probes[::-1])
 
 
 def test_l2_copies_are_isometric():
@@ -159,16 +160,34 @@ def test_quarter_p4_distortion_improves_with_window(quarter):
 def test_standard_probes_deterministic():
     a = standard_probes(5, 0.25, seed=11, n_random=30)
     b = standard_probes(5, 0.25, seed=11, n_random=30)
-    assert a == b
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, (38, 5), b.tobytes())
     c = standard_probes(5, 0.25, seed=12, n_random=30)
-    assert a != c
+    assert a.tobytes() != c.tobytes()
 
 
 def test_standard_probes_contain_canonical_directions():
-    probes = standard_probes(3, 0.5, seed=1, n_random=0)
-    assert [1.0, 0.0, 0.0] in probes
-    assert [1.0, 1.0, 1.0] in probes
-    assert [1.0, -1.0, 1.0] in probes
+    probes = standard_probes(3, 0.5, seed=1, n_random=0).tolist()
+    assert probes == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 2.0**-0.5, 0.5]]
+
+
+@pytest.mark.parametrize("field, bound", [("n_copies", MAX_COPIES), ("n_random", MAX_RANDOM)])
+@pytest.mark.parametrize("past", ["bound + 1", "10**23"])
+def test_standard_probes_refuse_huge_counts_before_allocation(field, bound, past):
+    """A count past its bound is refused by name before anything is
+    allocated; the bound itself draws."""
+    count = bound + 1 if past == "bound + 1" else 10**23
+    counts = {"n_copies": 3, "n_random": 1, field: count}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[{int(field == 'n_copies')}, {bound}\], got {count}$"):
+            standard_probes(counts["n_copies"], 0.5, 1, counts["n_random"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    counts[field] = bound
+    n_copies, n_random = counts["n_copies"], counts["n_random"]
+    assert standard_probes(n_copies, 0.5, 1, n_random).shape == (n_copies + 3 + n_random, n_copies)
 
 
 # --- the row path: disjoint sums built as array rows -------------------------------
@@ -319,7 +338,7 @@ def test_row_path_rejects_non_finite_products_as_disjoint_sum(quarter, bad):
     probe = [1.0] * 16 + [bad]
     with pytest.raises(ValueError) as ref:
         reference_disjoint_sum(probe, fam.base)
-    probes = standard_probes(17, fam.theta, seed=3, n_random=60) + [probe]
+    probes = [*standard_probes(17, fam.theta, seed=3, n_random=60), probe]
     with pytest.raises(ValueError, match=re.escape(str(ref.value))):
         distortion(fam, probes)
 
@@ -520,40 +539,24 @@ def test_permuted_rows_are_not_one_class():
     assert distortion(fam, [a, b]) == distortion(fam, [b, a]) == max(each)
 
 
-def test_distortion_norms_one_row_per_class(quarter, monkeypatch):
+def test_distortion_norms_one_row_per_class(quarter, evaluations):
     """17 copies with 40 random probes at theta 0.5: the 17 unit vectors are
     one class, all-ones and the alternating signs another, so 43 of the 60
     rows are normed, and the distortion is the per-probe loop's."""
-    rows = []
-
-    def counted_norm_rows(space, values, measures):
-        rows.append(len(measures))
-        return norm_rows(space, values, measures)
-
-    norm_rows = spaces._norm_rows
     fam = build_witness(quarter, 2.0**0.5, 17, 8, -48)
     probes = standard_probes(17, 0.5, seed=1, n_random=40)
-    monkeypatch.setattr(spaces, "_norm_rows", counted_norm_rows)
+    evaluations.clear()
     got = distortion(fam, probes)
-    assert (len(probes), sum(rows)) == (60, 43)
-    monkeypatch.undo()
+    assert (len(probes), sum(evaluations)) == (60, 43)
     assert got == per_probe_distortion(fam, probes)
 
 
-def test_witness_command_norms_each_chunk_group_once(capsys, tmp_path, monkeypatch):
+def test_witness_command_norms_each_chunk_group_once(capsys, tmp_path, evaluations):
     """One witness command in the report-sweep shape (Orlicz power_log(2, 1),
-    17 copies, windows 8 and 32, 40 random probes) makes 11 row-kernel
-    evaluations: one per window to normalize its base, and one per atom
-    count of each chunk of the 43 probe rows normed of 60 (15 with chunks of
-    4096 products)."""
-    calls = []
-
-    def counted_norm_rows(space, values, measures):
-        calls.append(measures.shape)
-        return norm_rows(space, values, measures)
-
-    norm_rows = spaces._norm_rows
-    monkeypatch.setattr(spaces, "_norm_rows", counted_norm_rows)
+    17 copies, windows 8 and 32, 40 random probes) makes 7 row-kernel
+    evaluations: one per window to normalize its base, and one per element
+    budget of each chunk of the 43 probe rows normed of 60, across atom
+    counts."""
     cfg = {
         "space": {"type": "orlicz", "N": {"kind": "power_log", "a": 2, "c": 1}},
         "k_radius": 64,
@@ -565,7 +568,7 @@ def test_witness_command_norms_each_chunk_group_once(capsys, tmp_path, monkeypat
     path.write_text(json.dumps(cfg))
     assert cli.main(["witness", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
-    assert len(calls) == 11
+    assert len(evaluations) == 7
 
 
 # --- certificates: distortion tends to 1 exactly on the frep set ------------------
