@@ -36,7 +36,7 @@ from .spectra import (
     probe_lower_bounds,
     residual_curve,
 )
-from .steps import MAX_COPIES, MAX_RANDOM
+from .steps import MAX_BLOCK, MAX_COPIES, MAX_RANDOM
 from .witness import build_witness, distortion, standard_probes
 
 __all__ = ["main", "ConfigError", "RunConfig"]
@@ -77,8 +77,8 @@ class RunConfig:
             raise ConfigError(
                 f"k_radius={self.k_radius} must be >= 4 * n_max = {4 * self.n_max}"
             )
-        if self.k_radius > 1000:
-            raise ConfigError("k_radius above 1000 leaves the exact block range")
+        if self.k_radius > MAX_BLOCK:
+            raise ConfigError(f"k_radius above {MAX_BLOCK} leaves the exact block range")
         if self.probe_k_radius < 1 or self.probe_k_radius > self.k_radius:
             raise ConfigError("probe_k_radius must lie in [1, k_radius]")
         for lam in self.lambda_grid:
@@ -89,9 +89,9 @@ class RunConfig:
         for n in self.n_list:
             if n < 1:
                 raise ConfigError(f"n_list entries must be >= 1, got {n}")
-            if self.probe_k_radius + 2 * n + 2 > 1000:
+            if self.probe_k_radius + 2 * n + 2 > MAX_BLOCK:
                 raise ConfigError(
-                    f"n_list entry {n} needs probe_k_radius + 2*n + 2 <= 1000 "
+                    f"n_list entry {n} needs probe_k_radius + 2*n + 2 <= {MAX_BLOCK} "
                     "to stay in the exact block range"
                 )
         if not 0 <= self.n_random <= MAX_RANDOM:
@@ -166,9 +166,9 @@ def _parse_witness(obj) -> WitnessConfig:
         if n < 1:
             raise ConfigError(f"witness windows entries must be >= 1, got {n}")
         start = _window_start(k, n)
-        if start < -1000 or start + n > 1000:
+        if start < -MAX_BLOCK or start + n > MAX_BLOCK:
             raise ConfigError(
-                f"witness window {n} at k={start} leaves the exact block range [-1000, 1000]"
+                f"witness window {n} at k={start} leaves the exact block range [-{MAX_BLOCK}, {MAX_BLOCK}]"
             )
     n_copies = _opt_int(obj, "n_copies", WitnessConfig)
     if not 1 <= n_copies <= MAX_COPIES:

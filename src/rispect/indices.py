@@ -17,6 +17,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .spaces import Lorentz, NumericalError, Orlicz, SpaceSpec, fundamentals
+from .steps import MAX_BLOCK
 
 __all__ = [
     "WeightSeq",
@@ -76,7 +77,7 @@ class WeightSeq:
 def block_weights(space: SpaceSpec, k_min: int, k_max: int) -> WeightSeq:
     """Weights s_k = fundamental(space, 2**k) on the index window; computed
     weights that break s_k <= s_{k+1} <= 2 s_k are a NumericalError."""
-    if abs(k_min) > 1000 or abs(k_max) > 1000:
+    if abs(k_min) > MAX_BLOCK or abs(k_max) > MAX_BLOCK:
         raise ValueError("index window outside the exact block-measure range")
     s = fundamentals(space, np.ldexp(1.0, np.arange(k_min, k_max + 1)))
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import NumericalError, fundamentals
-from .steps import Seq
+from .steps import MAX_BLOCK, Seq
 
 __all__ = [
     "TruncatedSeq",
@@ -26,8 +26,6 @@ __all__ = [
     "squared_window",
     "solve_shift_minus",
 ]
-
-_MAX_BLOCK = 1000  # the exact-measure range of a Seq
 
 
 class SeriesDivergenceError(ArithmeticError):
@@ -97,9 +95,9 @@ def _side(coeff: float, step, sign: int, reach: int, tol: float, space):
     kept: dict[int, float] = {}
     weights: list[float] = []
     tail, alone = None, False
-    for n in range(1, _MAX_BLOCK + 1):
+    for n in range(1, MAX_BLOCK + 1):
         while n > len(weights):
-            stop = n + 1 if alone else min(_MAX_BLOCK, max(2 * len(weights), reach + 64, 65)) + 1
+            stop = n + 1 if alone else min(MAX_BLOCK, max(2 * len(weights), reach + 64, 65)) + 1
             try:  # weights past the walk may leave the floats
                 weights += fundamentals(space, np.ldexp(1.0, sign * np.arange(n, stop))).tolist()
             except NumericalError:
@@ -126,9 +124,9 @@ def _side(coeff: float, step, sign: int, reach: int, tol: float, space):
         coeff = step(n, coeff)
     if tail is None:
         raise SeriesDivergenceError(
-            f"series reaches block index {sign * (_MAX_BLOCK + 1)} without decaying below tol"
+            f"series reaches block index {sign * (MAX_BLOCK + 1)} without decaying below tol"
         )
-    raise SeriesDivergenceError(f"discarded tail above tol*1e-9 at block index {sign * _MAX_BLOCK}")
+    raise SeriesDivergenceError(f"discarded tail above tol*1e-9 at block index {sign * MAX_BLOCK}")
 
 
 def solve_shift_minus(a: Seq, lam: float, tol: float, space) -> TruncatedSeq:

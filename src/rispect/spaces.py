@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .steps import _NORM_ELEMS, Distribution, Seq, dyadic_sample
+from .steps import MAX_BLOCK, Distribution, Seq, dyadic_sample
 
 __all__ = [
     "NumericalError",
@@ -61,6 +61,10 @@ _LOG_LEAST = math.log(np.finfo(float).smallest_subnormal) + 2.0**-30
 _MAX_BRACKET = 1100
 # The scales of a _grouped_norms batch normed as it is; read-only, shared.
 _UNSCALED = np.broadcast_to(1.0, 1)
+# Elements per row-kernel evaluation (rows x atoms), also the products per
+# chunk of witness disjoint sums (rows x copies x base atoms): of 2**12 to
+# 2**15, 2**13 traded time against memory best.
+_NORM_ELEMS = 2**13
 
 
 class NumericalError(ArithmeticError):
@@ -581,7 +585,7 @@ def _block_request(a: Seq, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     ks = np.asarray(ks, dtype=int)
     if a.is_zero or not ks.size:
         return np.zeros(0), np.zeros(0), np.zeros(2, dtype=int), np.ones(ks.size)
-    if a.k_min + ks.min() < -1000 or a.k_max + ks.max() > 1000:
+    if a.k_min + ks.min() < -MAX_BLOCK or a.k_max + ks.max() > MAX_BLOCK:
         raise ValueError("shifted block index outside the exact-measure range")
     d = a.distribution()
     return d.values, d.measures, np.array([0, d.values.size]), np.ldexp(1.0, ks)

@@ -20,7 +20,7 @@ import numpy as np
 from .indices import IndexSet, WeightSeq
 from .shifts import shift_minus
 from .spaces import _UNSCALED, NumericalError, SpaceSpec, _block_request, _grouped_norms, space_norms
-from .steps import MAX_RANDOM, Seq, _canonical_rows, _seeded_generators
+from .steps import MAX_BLOCK, MAX_RANDOM, Seq, _canonical_rows, _seeded_generators
 
 __all__ = [
     "ThetaInterval",
@@ -216,7 +216,7 @@ def _scan_requests(lam: float, rates: Sequence[float], ns: Sequence[int], ks, ke
     t1 = _images(lam, sq)
     rows = np.stack([geo, _images(lam, geo), sq, t1, _images(lam, t1)], axis=1)
     last = j.size - 1 - (rows != 0.0).any(axis=1)[:, ::-1].argmax(axis=1)
-    outside = (ks.min(initial=0) < -1000) | (last + ks.max(initial=0) > 1000)
+    outside = (ks.min(initial=0) < -MAX_BLOCK) | (last + ks.max(initial=0) > MAX_BLOCK)
     for i in np.flatnonzero(blown | ~np.isfinite(rows).all(axis=(1, 2)) | outside)[:1]:
         if blown[i]:
             raise NumericalError(f"window at rate {rates[i // len(ns)]} overflows")

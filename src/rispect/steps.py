@@ -5,8 +5,9 @@ which is all a rearrangement-invariant norm can see.  A block sequence `Seq`
 is the step function sum_k a_k * chi_{[2**k, 2**(k+1))}: one object serves
 as the coefficient sequence the shift operators act on and as the function
 the norms measure, since dilation by 2**n is the shift of its coefficients
-by n.  `PositionedStep` is an arbitrary finite step function used as input
-to the block-averaging projection.
+by n, exactly on blocks -MAX_BLOCK .. MAX_BLOCK.  `PositionedStep` is an
+arbitrary finite step function used as input to the block-averaging
+projection.  The probe-count bounds and probe seeding live here too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
 
 # Relative tolerance for treating two level values as equal when merging.
 MERGE_REL_TOL = 1e-12
+MAX_BLOCK = 1000  # block measures 2**k are exact floats for |k| <= MAX_BLOCK
 
 
 def floor_log2(t: float) -> int:
@@ -121,9 +123,8 @@ class Seq:
 
     def __post_init__(self) -> None:
         clean = {int(k): float(v) for k, v in self.coeffs.items() if v != 0.0}
-        # Block measures 2**k are exact floats only in this range.
         for k in (min(clean, default=0), max(clean, default=0)):
-            if abs(k) > 1000:
+            if abs(k) > MAX_BLOCK:
                 raise ValueError(f"block index {k} outside the exact-measure range")
         object.__setattr__(self, "coeffs", clean)
 
@@ -253,41 +254,6 @@ def dyadic_average(x: PositionedStep) -> Seq:
     return Seq({k: math.ldexp(s, -k) for k, s in sums.items()})
 
 
-# Elements per row-kernel evaluation (rows x atoms) and per chunk of disjoint
-# sums (rows x copies x base atoms), so a chunk's rows of one atom count are
-# normed at once: of 2**12 to 2**15, 2**13 traded time against memory best.
-_NORM_ELEMS = 2**13
-
-
-def _disjoint_sum_chunks(
-    coeffs: np.ndarray, d: Distribution
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Row i of coeffs (rows x copies) as the canonical atoms of the
-    distribution of sum_j coeffs[i, j] * x_j, the x_j disjointly supported
-    copies of a function with distribution d, yielded in chunks of rows of at
-    most about _NORM_ELEMS products, each chunk as _canonical_rows gives it.
-
-    Every product is checked before the first chunk, so a non-finite one
-    raises Distribution's ValueError before any chunk is used.
-    """
-    n_rows, n_copies = coeffs.shape
-    values, measures = d.values, np.tile(d.measures, n_copies)
-    # The largest product of a row is its largest |a_j| times the largest value.
-    top = np.maximum(coeffs.max(axis=1, initial=0.0), -coeffs.min(axis=1, initial=0.0))
-    with np.errstate(over="ignore"):
-        bad = ~np.isfinite(top * d.max_value())
-        if bad.any():
-            row = (np.abs(coeffs[int(np.argmax(bad))])[:, None] * values).ravel()
-            j = int(np.argmax(~np.isfinite(row)))
-            raise ValueError(f"non-finite atom ({float(row[j])}, {float(measures[j])})")
-    width = measures.size
-    step = max(1, _NORM_ELEMS // max(width, 1))
-    for start in range(0, n_rows, step):
-        chunk = np.abs(coeffs[start : start + step])
-        # No name binds the products: they are freed before the chunk is used.
-        yield _canonical_rows((chunk[:, :, None] * values).reshape(len(chunk), width), measures)
-
-
 def _canonical_rows(
     values: np.ndarray, measures: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,17 +341,18 @@ def dyadic_sample(d: Distribution) -> Distribution:
 # A random probe of a suite holds about 3 KB while its rate is scanned, so
 # 10,000 take about 30 MB.  A witness holds its (n_copies + 3 + n_random) x
 # n_copies coefficients as one float64 array: at most 2.6 million, 21 MB, at
-# both bounds, and one distortion on them peaks at about 67 MB.
+# both bounds, and one distortion on them allocates about 21 MB more.
 MAX_RANDOM = 10_000
 MAX_COPIES = 256
 
 
-def _seeded_generators(prefix: tuple, n: int) -> list:
-    """[Generator(PCG64(SeedSequence((*prefix, i)))) for i in range(n)], bit for
-    bit and with its errors: SeedSequence's hash runs once over the array of all i,
-    as its constants do not depend on the entropy.  numpy.random loads here."""
+def _seeded_generators(prefix: tuple, n: int) -> Iterator:
+    """Generator(PCG64(SeedSequence((*prefix, i)))) for i in range(n), one at a
+    time, bit for bit and with its errors, which are raised at the call:
+    SeedSequence's hash runs once over the array of all i, as its constants do
+    not depend on the entropy.  numpy.random loads here."""
     if n <= 0:
-        return []
+        return (g for g in ())  # the iterator type of n > 0
     from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
@@ -416,4 +383,4 @@ def _seeded_generators(prefix: tuple, n: int) -> list:
         r = pool[dst] * 0xCA01F9DD - hashmix(pool[src], a) * 0x4973F715
         pool[dst] = r ^ r >> 16
     state = np.stack([hashmix(pool[j % 4], b) for j in range(8)], axis=1)
-    return [Generator(PCG64(Seeded(s))) for s in state.astype("<u4").view("<u8").astype(np.uint64)]
+    return (Generator(PCG64(Seeded(s))) for s in state.astype("<u4").view("<u8").astype(np.uint64))

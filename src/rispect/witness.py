@@ -4,20 +4,21 @@ A witness family takes one normalized profile and lays down n disjoint copies;
 the measured distortion compares the space norm of coefficient combinations
 against the l^p norm of the coefficients, p = 1/theta.  At matched rates the
 profile is an approximate eigenvector of the doubling operator and the
-distortion approaches one as the window grows.
+distortion approaches one as the window grows.  The disjoint sums are built
+here as rows of canonical atoms, which the row kernels of `spaces` norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .shifts import geometric_window
-from .spaces import _UNSCALED, NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
-from .steps import MAX_COPIES, MAX_RANDOM, Distribution, _disjoint_sum_chunks, _seeded_generators
+from .spaces import _NORM_ELEMS, _UNSCALED, NumericalError, SpaceSpec, _grouped_norms, _pow_each, space_norm
+from .steps import MAX_COPIES, MAX_RANDOM, Distribution, _canonical_rows, _seeded_generators
 
 __all__ = [
     "WitnessFamily",
@@ -57,12 +58,16 @@ def build_witness(
     """Witness from a geometric window at rate lam starting at block k.
 
     Requires lam in [1, 2] so theta = log2(lam) lies in [0, 1]; lam = 1 gives
-    p = inf.  The base profile is normalized to unit space norm.
+    p = inf.  The base profile is normalized to unit space norm; a norm whose
+    reciprocal overflows is a NumericalError.
     """
     if not 1.0 <= lam <= 2.0:
         raise ValueError(f"lam={lam} outside [1, 2] (theta must lie in [0, 1])")
     raw = geometric_window(lam, k, window_n).distribution()
-    base = raw.scale(1.0 / space_norm(space, raw))
+    scale = 1.0 / space_norm(space, raw)
+    if not scale < math.inf:  # the window's largest value is 1
+        raise NumericalError(f"the witness base at k={k} has a norm with no float reciprocal")
+    base = raw.scale(scale)
     return WitnessFamily(
         space,
         base,
@@ -111,27 +116,48 @@ def standard_probes(n_copies: int, theta: float, seed: int, n_random: int = 100)
 
 
 def _class_heads(coeffs: np.ndarray) -> np.ndarray:
-    """Mask of the rows of coeffs (nonzero rows x copies) that are the first,
-    in order, of their class: the rows with exactly one nonzero entry make a
+    """Mask of the nonzero rows of coeffs (rows x copies) that come first, in
+    order, in their class: the rows with exactly one nonzero entry make a
     class per magnitude of that entry, the rows whose entries all have one
     magnitude make a class per magnitude, and every other row is its own."""
-    a = np.abs(coeffs)
-    top = a.max(axis=1)
-    single = np.count_nonzero(a, axis=1) == 1
-    heads = ~single & (a.min(axis=1) != top)
-    for kind in (single, ~single & ~heads):
+    top = np.maximum(coeffs.max(axis=1, initial=0.0), -coeffs.min(axis=1, initial=0.0))
+    single = np.count_nonzero(coeffs, axis=1) == 1
+    at_top = np.count_nonzero((coeffs == top[:, None]) | (coeffs == -top[:, None]), axis=1)
+    flat = ~single & (at_top == coeffs.shape[1])  # all-zero rows too, but not a NaN row
+    heads = ~single & ~flat
+    for kind in (single, flat & (top != 0.0)):
         rows = np.flatnonzero(kind)
         heads[rows[np.unique(top[rows], return_index=True)[1]]] = True
     return heads
 
 
+def _disjoint_sum_chunks(a: np.ndarray, d: Distribution) -> Iterator[tuple[np.ndarray, ...]]:
+    """Row i of a (rows x copies of absolute values) as the canonical atoms of
+    the distribution of sum_j a[i, j] * x_j, the x_j disjointly supported
+    copies of a function with distribution d, yielded in chunks of rows of at
+    most about _NORM_ELEMS products, each chunk as _canonical_rows gives it.
+    Before the first, a non-finite entry of a is a ValueError, and a product
+    past the largest float a NumericalError."""
+    top = float(a.max(initial=0.0))
+    if not top < math.inf:
+        raise ValueError("probe coefficients must be finite")
+    if not top * d.max_value() < math.inf:
+        raise NumericalError(f"a disjoint sum overflows: coefficient {top} times base value {d.max_value()}")
+    values, measures = d.values, np.tile(d.measures, a.shape[1])
+    step = max(1, _NORM_ELEMS // max(measures.size, 1))
+    for start in range(0, len(a), step):
+        chunk = a[start : start + step]
+        # No name binds the products: they are freed before the chunk is used.
+        yield _canonical_rows((chunk[:, :, None] * values).reshape(len(chunk), measures.size), measures)
+
+
 def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> float:
     """max over probes of max(R, 1/R), R = ||sum a_j x_j|| / ||a||_p.
 
-    Signs never matter: disjoint copies see only |a_j|.  The disjoint sums of
-    the nonzero probes are built as array rows a chunk at a time; each chunk
-    is normed through the row kernels and its p-norms taken as rows, so
-    memory does not grow with the number of probes.
+    Signs never matter: disjoint copies see only |a_j|.  The kept rows are
+    gathered once as |a|, whose disjoint sums are built as array rows a chunk
+    at a time; each chunk is normed through the row kernels and its p-norms
+    taken as rows, so memory beyond |a| does not grow with the probe count.
 
     Only the first row of each class of _class_heads is normed, and its ratio
     stands for the class, bit for bit.  Rows of one magnitude m have the same
@@ -148,14 +174,14 @@ def distortion(fam: WitnessFamily, probe_coeffs: Sequence[Sequence[float]]) -> f
     if len(coeffs) and coeffs.shape[1:] != (fam.n_copies,):
         raise ValueError(f"probes of shape {coeffs.shape} are not rows of n_copies {fam.n_copies}")
     coeffs = coeffs.reshape(len(coeffs), fam.n_copies)
-    coeffs = coeffs[(coeffs != 0.0).any(axis=1)]
-    coeffs = coeffs[_class_heads(coeffs)]
+    a = coeffs[_class_heads(coeffs)]  # a copy, so |a| is taken in place
+    np.abs(a, out=a)
     worst, start = 1.0, 0
-    for rows in _disjoint_sum_chunks(coeffs, fam.base):
+    for rows in _disjoint_sum_chunks(a, fam.base):
         nums = _grouped_norms(fam.space, [(*rows, _UNSCALED)])
         if not nums.all():
             raise NumericalError("the disjoint sum of a nonzero probe underflows to 0")
-        ratio = nums / _lp_rows(np.abs(coeffs[start : start + nums.size]), fam.theta)
+        ratio = nums / _lp_rows(a[start : start + nums.size], fam.theta)
         start += nums.size
         # fmax skips a NaN ratio (inf / inf), as max(worst, ratio) does.
         worst = float(np.fmax.reduce(np.fmax(ratio, 1.0 / ratio), initial=worst))

@@ -186,6 +186,57 @@ def test_bad_config_is_config_error(capsys, tmp_path, overrides):
     assert line.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("indices", {"k_radius": 1001}, "k_radius above 1000 leaves the exact block range"),
+        ("indices", {"probe_k_radius": 65}, "probe_k_radius must lie in [1, k_radius]"),
+        ("indices", {"lambda_grid": [1.5, 0]}, "lambda_grid entries must be positive, got 0.0"),
+        ("indices", {"n_list": [4, 0]}, "n_list entries must be >= 1, got 0"),
+        ("indices", {"k_radius": 64.0}, "field k_radius must be an integer, got 64.0"),
+        ("indices", {"lambda_grid": 1.5}, "field lambda_grid must be a list of numbers, got 1.5"),
+        ("witness", {"witness": [0.5]}, "field witness must be an object"),
+        ("witness", {"witness": {"n_copies": 4}}, "field witness needs one of theta, lam, p"),
+        ("witness", {"witness": {"theta": 0.5, "k": 1.5}}, "field witness.k must be an integer, got 1.5"),
+        ("witness", {"witness": {"theta": 0.5, "windows": [4, 0]}}, "witness windows entries must be >= 1, got 0"),
+        ("indices", "[]", "config root must be an object"),
+        ("indices", '{"k_radius": 64}', "missing field space"),
+        ("residuals", {"lambda_grid": []}, "residuals needs a nonempty lambda_grid"),
+    ],
+    ids=[
+        "k_radius-past-block-range",
+        "probe_k_radius-past-k_radius",
+        "lambda_grid-entry-0",
+        "n_list-entry-0",
+        "field-not-an-integer",
+        "field-not-a-list",
+        "witness-not-an-object",
+        "witness-without-rate",
+        "witness-k-not-an-integer",
+        "witness-window-0",
+        "root-not-an-object",
+        "space-missing",
+        "residuals-without-lambda_grid",
+    ],
+)
+def test_config_error_names_its_field(command, doc, message, capsys, tmp_path):
+    """doc is write_config's overrides, or the whole file as text."""
+    if isinstance(doc, str):
+        (tmp_path / "cfg.json").write_text(doc)
+        cfgpath = str(tmp_path / "cfg.json")
+    else:
+        cfgpath = write_config(tmp_path, **doc)
+    assert run(capsys, command, "--config", cfgpath) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("spelling, theta", [({"lam": 1.5}, math.log2(1.5)), ({"p": "inf"}, 0.0)], ids=["lam", "p-inf"])
+def test_witness_rate_spellings(spelling, theta, capsys, tmp_path):
+    cfgpath = write_config(tmp_path, witness={**spelling, "n_copies": 3, "windows": [4], "n_random": 5})
+    code, out, _ = run(capsys, "witness", "--config", cfgpath)
+    assert code == 0
+    assert json.loads(out)["theta"] == theta
+
+
 def test_integer_past_digit_limit_is_config_error(capsys, tmp_path):
     """An integer literal too long for Python's int parser is invalid JSON."""
     path = tmp_path / "long.json"
@@ -669,6 +720,11 @@ FUZZ_SPACES = [
 # The capped N inverse stops short for roots below about 2**-200, and the
 # weights of this N jump by 2.33 at k = 226 of k_radius 244.
 POWER_LOG_JUMP = {"type": "orlicz", "N": {"kind": "power_log", "a": 1.1391730631176669, "c": 1}}
+# psi(t) = 1e-300 t**0.5 (a table, so the role checks pass): the norm of a
+# witness window at k = -55 is 1.5e-308, so the base reaches 6.7e307 and a
+# probe's products overflow; from k = -58 on the norm is below 1/DBL_MAX.
+TINY_PSI = {"type": "lorentz", "q": 1, "psi": {"kind": "table", "points": [[1, 1e-300], [4, 2e-300]]}}
+TINY_PSI_WITNESS = {"theta": 0.5, "n_copies": 4, "windows": [4]}
 
 
 @pytest.mark.parametrize(
@@ -832,6 +888,15 @@ huge_fields = st.tuples(
     cfg={"space": NEAR_FLAT, "k_radius": 4, "n_max": 1, "lambda_grid": [1.0], "probe_k_radius": 1},
     huge=(None, 0),
 )
+# Witness disjoint sums and a witness base outside the floats (TINY_PSI).
+@example(
+    cfg={"space": TINY_PSI, "k_radius": 64, "n_max": 16, "probe_k_radius": 16, "witness": {**TINY_PSI_WITNESS, "k": -55}},
+    huge=(None, 0),
+)
+@example(
+    cfg={"space": TINY_PSI, "k_radius": 64, "n_max": 16, "probe_k_radius": 16, "witness": {**TINY_PSI_WITNESS, "k": -60}},
+    huge=(None, 0),
+)
 def test_exit_code_contract_on_generated_configs(cfg, huge, tmp_path_factory):
     """Every command on a generated config exits 0 with nothing on stderr, or
     2 or 3 with nothing on stdout; a numpy warning is an error here.  A huge
@@ -921,6 +986,24 @@ def test_norm_underflow_is_numerical_failure(command, q, overrides, capsys, tmp_
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["witness", "report"])
+@pytest.mark.parametrize(
+    "k, message",
+    [(-55, "a disjoint sum overflows: coefficient "), (-60, "the witness base at k=-60 has a norm with no float reciprocal")],
+    ids=["disjoint-sum-overflows", "base-norm-has-no-reciprocal"],
+)
+def test_witness_outside_the_floats_is_numerical_failure(command, k, message, capsys, tmp_path):
+    """Both ended in a ValueError traceback from Distribution (exit 1).  At
+    the default seed a random probe has a coefficient above 2.7."""
+    witness = {**TINY_PSI_WITNESS, "k": k}
+    cfgpath = write_config(tmp_path, space=TINY_PSI, k_radius=64, n_max=16, probe_k_radius=16, seed=0x5EED, witness=witness)
+    code, out, err = run(capsys, command, "--config", cfgpath)
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("numerical failure: " + message)
 
 
 @pytest.mark.filterwarnings("error")

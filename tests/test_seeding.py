@@ -48,6 +48,8 @@ def prefixes(draw) -> tuple:
 @example(prefix=(as_numpy(2**40), np.uint32(7777)), n=5)
 def test_seeded_generators_equal_numpy_construction(prefix, n):
     got = _seeded_generators(prefix, n)
+    assert type(got) is type(_seeded_generators((0,), 1))  # one lazy iterator type, n = 0 too
+    got = list(got)
     assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in numpy_generators(prefix, n)]
 
 
@@ -61,7 +63,7 @@ def test_bad_prefix_entry_raises_as_seed_sequence(bad, at):
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         _seeded_generators(prefix, 4)
     # No generator, no SeedSequence: the suites drew none for n_random = 0.
-    assert _seeded_generators(prefix, 0) == []
+    assert list(_seeded_generators(prefix, 0)) == []
 
 
 @pytest.mark.parametrize("entry", ["12", (1, 2)], ids=repr)

@@ -565,3 +565,48 @@ def test_space_json_errors_name_fields():
         space_from_json({"type": "lorentz", "q": 0.5, "psi": {"kind": "pure_power", "a": 1.0}})
     with pytest.raises(SpecJSONError):
         space_from_json("not an object")
+
+
+def lorentz_json(psi) -> dict:
+    return {"type": "lorentz", "q": 1, "psi": psi}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (lorentz_json({"kind": "pure_power", "a": -1}), "invalid space.psi: pure_power exponent must be positive, got -1.0"),
+        (
+            lorentz_json({"kind": "piecewise_power", "a0": 0.5, "a_inf": 0}),
+            "invalid space.psi: piecewise_power a_inf must be positive, got 0.0",
+        ),
+        (
+            {"type": "orlicz", "N": {"kind": "power_log", "a": 0, "c": 1}},
+            "invalid space.N: power_log exponent must be positive, got 0.0",
+        ),
+        (
+            lorentz_json({"kind": "power_log", "a": 0.5, "c": math.inf}),
+            "invalid space.psi: power_log log-exponent must be finite, got inf",
+        ),
+        (
+            lorentz_json({"kind": "table", "points": [[1, 0], [2, 1]]}),
+            "invalid space.psi: table points must be positive, got (1.0, 0.0)",
+        ),
+        (lorentz_json({"kind": "table", "points": {}}), "field space.psi.points must be a list"),
+        (lorentz_json({"kind": "table", "points": [[1, 1], [2]]}), "field space.psi.points[1] must be a [t, value] pair"),
+        (lorentz_json("x"), "field space.psi must be an object"),
+    ],
+    ids=[
+        "pure_power-exponent",
+        "piecewise_power-a_inf",
+        "power_log-exponent",
+        "power_log-log-exponent",
+        "table-point",
+        "table-points-not-a-list",
+        "table-point-not-a-pair",
+        "fn-not-an-object",
+    ],
+)
+def test_space_from_json_names_each_bad_field(obj, message):
+    with pytest.raises(SpecJSONError, match=f"^{re.escape(message)}$"):
+        space_from_json(obj)
+

@@ -25,7 +25,8 @@ from rispect import (
     rearrange,
 )
 from rispect.shifts import shift
-from rispect.steps import MERGE_REL_TOL, _canonical_rows, _disjoint_sum_chunks, floor_log2
+from rispect.steps import MERGE_REL_TOL, _canonical_rows, floor_log2
+from rispect.witness import _disjoint_sum_chunks
 
 def _close(x: float, y: float) -> bool:
     return abs(x - y) <= MERGE_REL_TOL * max(abs(x), abs(y))
@@ -72,7 +73,7 @@ def reference_disjoint_sum(coeffs, d: Distribution) -> tuple[tuple[float, float]
 def disjoint_sum(coeffs, d: Distribution) -> Distribution:
     """Distribution of sum_k a_k * x_k, the x_k disjoint copies of d, from a
     one-row call of the witness row path."""
-    values, measures, _ = next(_disjoint_sum_chunks(np.array([coeffs], dtype=float), d))
+    values, measures, _ = next(_disjoint_sum_chunks(np.abs(np.array([coeffs], dtype=float)), d))
     return Distribution(np.column_stack((values, measures)))
 
 

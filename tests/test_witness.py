@@ -27,9 +27,9 @@ from rispect import (
     standard_probes,
 )
 from rispect import cli
-from rispect.spaces import _grouped_norms
-from rispect.steps import MAX_COPIES, MAX_RANDOM, MERGE_REL_TOL, _NORM_ELEMS, _disjoint_sum_chunks
-from rispect.witness import _lp_rows
+from rispect.spaces import _NORM_ELEMS, _grouped_norms
+from rispect.steps import MAX_COPIES, MAX_RANDOM, MERGE_REL_TOL
+from rispect.witness import _disjoint_sum_chunks, _lp_rows
 from test_batched_norms import SPACE_IDS, SPACES, reference_norm
 from test_steps import disjoint_sum, reference_disjoint_sum
 
@@ -250,7 +250,7 @@ def probe_rows(draw, n_copies: int) -> list[list[float]]:
 
 def row_path(coeffs, base: Distribution) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each row's (values, measures), split off the chunks' flat atoms."""
-    arr = np.array(coeffs, dtype=float)
+    arr = np.abs(np.array(coeffs, dtype=float))
     return [
         (values[lo:hi], measures[lo:hi])
         for values, measures, offsets in _disjoint_sum_chunks(arr, base)
@@ -259,7 +259,7 @@ def row_path(coeffs, base: Distribution) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def row_norms(space, coeffs, base: Distribution) -> list[float]:
-    arr = np.array(coeffs, dtype=float)
+    arr = np.abs(np.array(coeffs, dtype=float))
     return [
         n
         for rows in _disjoint_sum_chunks(arr, base)
@@ -323,23 +323,32 @@ def test_row_path_spans_chunks(quarter):
     fam = build_witness(quarter, 2.0**0.5, 17, 32, -72)
     probes = standard_probes(17, fam.theta, seed=3, n_random=60)
     width = 17 * len(fam.base.atoms)
-    chunks = list(_disjoint_sum_chunks(np.array(probes), fam.base))
+    chunks = list(_disjoint_sum_chunks(np.abs(probes), fam.base))
     assert len(chunks) == -(-len(probes) // max(1, _NORM_ELEMS // width)) > 1
     assert row_norms(quarter, probes, fam.base) == [
         space_norm(quarter, disjoint_sum(a, fam.base)) for a in probes
     ]
 
 
-@pytest.mark.parametrize("bad", [1.7e308, math.inf, math.nan])
-def test_row_path_rejects_non_finite_products_as_disjoint_sum(quarter, bad):
-    """The scalar rule's ValueError, also when the offending probe sits in a
-    later chunk than probes that norm fine."""
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (1.7e308, NumericalError, "a disjoint sum overflows: coefficient 1.7e+308 times base value "),
+        (math.inf, ValueError, "probe coefficients must be finite"),
+        (math.nan, ValueError, "probe coefficients must be finite"),
+    ],
+)
+def test_row_path_rejects_non_finite_products_as_disjoint_sum(quarter, bad, error, message):
+    """A product the scalar rule refuses is refused before any norm, also
+    when the offending probe sits in a later chunk than probes that norm
+    fine: a NumericalError where a finite coefficient's product overflows,
+    and a ValueError where the coefficient is not finite."""
     fam = build_witness(quarter, 2.0**0.5, 17, 32, -72)
     probe = [1.0] * 16 + [bad]
-    with pytest.raises(ValueError) as ref:
+    with pytest.raises(ValueError):
         reference_disjoint_sum(probe, fam.base)
     probes = [*standard_probes(17, fam.theta, seed=3, n_random=60), probe]
-    with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+    with pytest.raises(error, match="^" + re.escape(message)):
         distortion(fam, probes)
 
 
@@ -495,10 +504,10 @@ def class_cases(draw):
 def per_probe_outcome(fam, probes):
     """per_probe_distortion, or the failures distortion may report as
     (type, message).  Every product is checked before any norm, so a probe
-    with a non-finite product reports the first such probe's ValueError;
-    otherwise each probe whose norm fails, or whose sum underflows to 0
-    (where the loop divides by 0), is a NumericalError with its own message,
-    and distortion reports one of them."""
+    with a non-finite coefficient reports the first such probe's ValueError;
+    otherwise each probe with a product past the floats, whose norm fails or
+    whose sum underflows to 0 (where the loop divides by 0), is a
+    NumericalError with its own message, and distortion reports one of them."""
     failures = []
     for a in probes:
         try:
